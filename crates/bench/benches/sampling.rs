@@ -10,7 +10,7 @@
 use optassign::sampling::random_assignment;
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
-use optassign_bench::microbench::{bench, bench_report_json, group, BenchEntry};
+use optassign_bench::microbench::{bench, bench_pair, bench_report_json, group, BenchEntry};
 use optassign_bench::{case_study_model_small, BenchArgs};
 use optassign_netapps::Benchmark;
 
@@ -54,13 +54,14 @@ fn main() {
     let mut entries = Vec::new();
     for &workers in &[1usize, 4] {
         let scalar_par = Parallelism::new(workers).with_batch(0);
-        let scalar_ns = bench(&format!("sample_study/{n}x{workers}w/scalar"), || {
-            SampleStudy::run_with(&model, n, 7, scalar_par).unwrap()
-        }) / n as f64;
         let batched_par = Parallelism::new(workers);
-        let batch_ns = bench(&format!("sample_study/{n}x{workers}w/batched"), || {
-            SampleStudy::run_with(&model, n, 7, batched_par).unwrap()
-        }) / n as f64;
+        let (scalar_ns, batch_ns) = bench_pair(
+            &format!("sample_study/{n}x{workers}w/scalar"),
+            || SampleStudy::run_with(&model, n, 7, scalar_par).unwrap(),
+            &format!("sample_study/{n}x{workers}w/batched"),
+            || SampleStudy::run_with(&model, n, 7, batched_par).unwrap(),
+        );
+        let (scalar_ns, batch_ns) = (scalar_ns / n as f64, batch_ns / n as f64);
         println!(
             "  └ batch{} speedup at {workers} workers: {:.2}x",
             batched_par.batch,

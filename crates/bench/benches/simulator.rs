@@ -11,7 +11,7 @@
 use optassign::model::{AnalyticModel, PerformanceModel, SimModel};
 use optassign::sampling::random_assignment;
 use optassign::Assignment;
-use optassign_bench::microbench::{bench, bench_report_json, group, BenchEntry};
+use optassign_bench::microbench::{bench, bench_pair, bench_report_json, group, BenchEntry};
 use optassign_netapps::Benchmark;
 use optassign_sim::MachineConfig;
 
@@ -43,12 +43,13 @@ fn main() {
         // The scalar path evaluates the same pinned assignments one by
         // one; the batched path amortizes setup across all of them.
         // Identical work, identical results — only the path differs.
-        let scalar_ns = bench(&format!("simulate/{}", bm.name()), || {
-            batch.iter().map(|a| model.evaluate(a)).sum::<f64>()
-        }) / BATCH as f64;
-        let batch_ns = bench(&format!("simulate_batch{BATCH}/{}", bm.name()), || {
-            model.evaluate_batch(&batch)
-        }) / BATCH as f64;
+        let (scalar_ns, batch_ns) = bench_pair(
+            &format!("simulate/{}", bm.name()),
+            || batch.iter().map(|a| model.evaluate(a)).sum::<f64>(),
+            &format!("simulate_batch{BATCH}/{}", bm.name()),
+            || model.evaluate_batch(&batch),
+        );
+        let (scalar_ns, batch_ns) = (scalar_ns / BATCH as f64, batch_ns / BATCH as f64);
         println!("  └ batch{BATCH} speedup: {:.2}x", scalar_ns / batch_ns);
         entries.push(BenchEntry {
             name: format!("simulate/{}", bm.name()),

@@ -41,9 +41,40 @@ fn batch_count() -> usize {
 /// times [`BATCHES`] batches and reports the median batch's per-iteration
 /// time, with the min/max batch spread as a dispersion hint.
 pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
-    // Calibration: grow the batch size until one batch fills 1/BATCHES of
-    // the target window (or the batch is already enormous).
     let batches = batch_count();
+    let iters = calibrate(&mut f, batches);
+    let per_iter = (0..batches).map(|_| time_batch(&mut f, iters)).collect();
+    report(name, per_iter, iters)
+}
+
+/// [`bench`] for two variants of the same work whose *ratio* is gated:
+/// each is calibrated on its own, then their timed batches alternate, so
+/// a host that speeds up or slows down during the run moves both medians
+/// alike instead of skewing the ratio. Returns `(median_a, median_b)` in
+/// nanoseconds per iteration.
+pub fn bench_pair<RA, RB, FA, FB>(name_a: &str, mut a: FA, name_b: &str, mut b: FB) -> (f64, f64)
+where
+    FA: FnMut() -> RA,
+    FB: FnMut() -> RB,
+{
+    let batches = batch_count();
+    let iters_a = calibrate(&mut a, batches);
+    let iters_b = calibrate(&mut b, batches);
+    let mut per_a = Vec::with_capacity(batches);
+    let mut per_b = Vec::with_capacity(batches);
+    for _ in 0..batches {
+        per_a.push(time_batch(&mut a, iters_a));
+        per_b.push(time_batch(&mut b, iters_b));
+    }
+    (
+        report(name_a, per_a, iters_a),
+        report(name_b, per_b, iters_b),
+    )
+}
+
+/// Grows the iteration count until one batch fills `1/batches` of the
+/// target window (or the batch is already enormous).
+fn calibrate<R, F: FnMut() -> R>(f: &mut F, batches: usize) -> u64 {
     let mut iters_per_batch: u64 = 1;
     let batch_budget = target_measure_nanos() / batches as u128;
     loop {
@@ -53,24 +84,29 @@ pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
         }
         let elapsed = start.elapsed().as_nanos();
         if elapsed >= batch_budget || iters_per_batch >= 1 << 30 {
-            break;
+            return iters_per_batch;
         }
         let scale = batch_budget
             .checked_div(elapsed)
             .map_or(8, |s| s.clamp(2, 8)) as u64;
         iters_per_batch = iters_per_batch.saturating_mul(scale);
     }
+}
 
-    let mut per_iter: Vec<f64> = (0..batches)
-        .map(|_| {
-            let start = Instant::now();
-            for _ in 0..iters_per_batch {
-                black_box(f());
-            }
-            start.elapsed().as_nanos() as f64 / iters_per_batch as f64
-        })
-        .collect();
+/// Times one batch of `iters` calls; returns nanoseconds per call.
+fn time_batch<R, F: FnMut() -> R>(f: &mut F, iters: u64) -> f64 {
+    let start = Instant::now();
+    for _ in 0..iters {
+        black_box(f());
+    }
+    start.elapsed().as_nanos() as f64 / iters as f64
+}
+
+/// Prints the one-line report for a set of batch timings; returns the
+/// median.
+fn report(name: &str, mut per_iter: Vec<f64>, iters_per_batch: u64) -> f64 {
     per_iter.sort_by(|a, b| a.total_cmp(b));
+    let batches = per_iter.len();
     let median = per_iter[batches / 2];
     let (lo, hi) = (per_iter[0], per_iter[batches - 1]);
     println!(

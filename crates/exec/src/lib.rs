@@ -611,18 +611,35 @@ where
     Ok(out)
 }
 
-/// Splits ascending miss indices into runs of `par.batch` (floored at 1)
-/// for the batched engines below.
+/// Splits ascending miss indices into contiguous runs for the batched
+/// engines below: the fewest runs of at most `par.batch` (floored at 1)
+/// items, rounded up to a multiple of `par.workers` (capped at one item
+/// per run), with lengths differing by at most one. Equal runs keep every
+/// worker busy to the end: 300 misses at batch 32 on 2 workers become
+/// 10 × 30, not 9 × 32 + 12.
 fn batch_chunks(par: Parallelism, miss_idx: &[usize]) -> Vec<Vec<usize>> {
-    let size = par.batch.max(1);
-    miss_idx.chunks(size).map(<[usize]>::to_vec).collect()
+    let n = miss_idx.len();
+    let workers = par.workers.max(1);
+    let runs = n
+        .div_ceil(par.batch.max(1))
+        .div_ceil(workers)
+        .saturating_mul(workers)
+        .min(n);
+    let mut out = Vec::with_capacity(runs);
+    let mut start = 0;
+    for r in 0..runs {
+        let len = n / runs + usize::from(r < n % runs);
+        out.push(miss_idx[start..start + len].to_vec());
+        start += len;
+    }
+    out
 }
 
 /// Batched [`parallel_map_cached`]: identical cache-key semantics
 /// (`resolved[i]` is `Some` for a hit, `None` for a miss; hits and
 /// misses feed the same `exec_cache_hits_total` /
 /// `exec_cache_misses_total` counters), but the misses are handed to `f`
-/// in ascending runs of `par.batch` indices at a time so the callee can
+/// in ascending runs of at most `par.batch` indices so the callee can
 /// amortize per-call setup across the run.
 ///
 /// `f` receives a slice of original indices and must return exactly one
@@ -955,10 +972,40 @@ mod tests {
                     snap.counter("exec_cache_hits_total") + snap.counter("exec_cache_misses_total"),
                     203
                 );
-                assert_eq!(
-                    snap.counter("exec_batches_total"),
-                    (snap.counter("exec_cache_misses_total") as usize).div_ceil(batch) as u64
-                );
+                let misses = snap.counter("exec_cache_misses_total") as usize;
+                let runs = misses.div_ceil(batch).div_ceil(workers) * workers;
+                assert_eq!(snap.counter("exec_batches_total"), runs.min(misses) as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn batch_chunks_are_equal_runs_in_multiples_of_workers() {
+        let idx: Vec<usize> = (0..300).map(|i| 3 * i + 1).collect();
+        let shape = |workers: usize, batch: usize, n: usize| -> Vec<usize> {
+            let par = Parallelism::new(workers).with_batch(batch);
+            let chunks = batch_chunks(par, &idx[..n]);
+            // Contiguous, ascending, covering every index exactly once.
+            assert_eq!(chunks.concat(), idx[..n].to_vec());
+            chunks.iter().map(Vec::len).collect()
+        };
+        assert_eq!(shape(2, 32, 300), vec![30; 10]);
+        assert_eq!(shape(1, 32, 299), [vec![30; 9], vec![29]].concat());
+        assert_eq!(shape(4, 32, 300), vec![25; 12]);
+        assert_eq!(shape(2, 32, 33), vec![17, 16]);
+        // Never an empty run, even when workers outnumber the misses.
+        assert_eq!(shape(8, 32, 3), vec![1, 1, 1]);
+        for workers in [1, 2, 3, 7] {
+            for batch in [1, 5, 32, 1000] {
+                for n in [1, 2, 31, 64, 299] {
+                    let lens = shape(workers, batch, n);
+                    let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
+                    assert!(
+                        *max <= batch && max - min <= 1,
+                        "{workers} {batch} {n}: {lens:?}"
+                    );
+                    assert!(lens.len() % workers == 0 || lens.len() == n);
+                }
             }
         }
     }

@@ -288,6 +288,168 @@ struct TaskHot {
     micro: u16,
 }
 
+/// Lane state that [`fast_forward`] reads but never writes.
+#[derive(Clone, Copy)]
+struct Peers<'a> {
+    ops: &'a [DecodedOp],
+    /// Global pipe of each task.
+    task_pipe: &'a [usize],
+    /// See [`Scratch::pipe_next`].
+    pipe_next: &'a [u64],
+    q_count: &'a [usize],
+    q_cap: &'a [usize],
+    /// Producer and consumer task of each queue.
+    q_ends: &'a [(usize, usize)],
+    lat_l2: u64,
+    queue_retry: u64,
+}
+
+impl Peers<'_> {
+    /// Whether granting `op` to a strand of pipe `p` at cycle `c` is a
+    /// queue retry that must fail, whatever the other pipes do first.
+    ///
+    /// A retry on a full (empty) queue changes only its own strand, but
+    /// whether it fails reads the queue's count, which the consumer's pop
+    /// (the producer's push) changes. That peer changes it only through a
+    /// grant of the cycle loop, at or after both its wake-up and its
+    /// pipe's `pipe_next`; before that cycle the retry must fail. A peer
+    /// on pipe `p` itself would have to win `p`'s arbitration with a
+    /// non-private op, which ends the replay first.
+    #[inline]
+    fn blocked_retry(&self, op: DecodedOp, p: usize, c: u64, wake_at: &[u64]) -> bool {
+        let (blocked, peer) = match op {
+            DecodedOp::QueuePop(q) => {
+                let q = q as usize;
+                (self.q_count[q] == 0, self.q_ends[q].0)
+            }
+            DecodedOp::QueuePush(q) => {
+                let q = q as usize;
+                (self.q_count[q] >= self.q_cap[q], self.q_ends[q].1)
+            }
+            _ => return false,
+        };
+        let pp = self.task_pipe[peer];
+        blocked && (pp == p || c < wake_at[peer].max(self.pipe_next[pp]))
+    }
+}
+
+/// Replays pipe `p`'s round-robin arbitration from cycle `from` for as
+/// long as every winner's grant is private, making those grants in place
+/// of the cycle loop. A private grant is an `Int` micro-op or a queue
+/// retry that must fail ([`Peers::blocked_retry`]).
+///
+/// Either touches only its own strand (RNG, micro-op count, program
+/// counter, iterations, wake-up) and its pipe's round-robin pointer, and
+/// a pipe's arbitration reads only its own strands' wake-ups. So running
+/// one pipe ahead of the others changes no outcome, as long as every
+/// replayed grant is private and lies inside the window. Grants are
+/// replayed only at cycles `c` with `c + 1 < end`: a grant on the
+/// window's last cycle stays with the cycle loop, which then steps onto
+/// `end` exactly as the scalar engine does (the measurement-boundary
+/// reset depends on that).
+///
+/// Returns `(hold, grants)`: the first cycle the cycle loop must
+/// arbitrate this pipe again — the cycle whose winner's grant is not
+/// private, the next wake-up of an all-blocked pipe, or the cycle after
+/// the last replayed grant near the window end — and the number of
+/// replayed grants.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn fast_forward(
+    p: usize,
+    list: &[usize],
+    rr: &mut usize,
+    from: u64,
+    end: u64,
+    peers: Peers<'_>,
+    tasks: &mut [TaskHot],
+    wake_at: &mut [u64],
+    iterations: &mut [u64],
+) -> (u64, u64) {
+    let len = list.len();
+    let mut c = from;
+    let mut grants = 0u64;
+    while c + 1 < end {
+        // Same least-recently-served scan as the cycle loop.
+        let mut chosen = None;
+        let mut earliest = u64::MAX;
+        let mut j = *rr;
+        for _ in 0..len {
+            let w = wake_at[list[j]];
+            if w <= c {
+                chosen = Some(j);
+                break;
+            }
+            earliest = earliest.min(w);
+            j += 1;
+            if j == len {
+                j = 0;
+            }
+        }
+        let Some(pos) = chosen else {
+            c = earliest;
+            continue;
+        };
+        let t = list[pos];
+        let op = peers.ops[tasks[t].op_pos as usize];
+        let int_len = match op {
+            DecodedOp::Int(n) => Some(n),
+            _ if peers.blocked_retry(op, p, c, wake_at) => None,
+            _ => break,
+        };
+        *rr = if pos + 1 == len { 0 } else { pos + 1 };
+        let th = &mut tasks[t];
+        let Some(n) = int_len else {
+            let extra = if th.imiss.sample(&mut th.rng) {
+                peers.lat_l2
+            } else {
+                0
+            };
+            wake_at[t] = c + peers.queue_retry + extra;
+            grants += 1;
+            c += 1;
+            continue;
+        };
+        // Horizon: until another strand of this pipe wakes, `t` is the
+        // only candidate, so it wins every cycle it is ready in. Issue its
+        // micro-ops back to back without re-scanning the pipe; stop on an
+        // I-miss (its wake-up jumps), at the end of the op, or at the
+        // horizon.
+        let mut horizon = end - 1;
+        for &u in list {
+            if u != t {
+                horizon = horizon.min(wake_at[u]);
+            }
+        }
+        let mut micro = if th.micro == 0 { n } else { th.micro };
+        let mut issued = 0u64;
+        let mut extra = 0;
+        loop {
+            issued += 1;
+            micro -= 1;
+            if th.imiss.sample(&mut th.rng) {
+                extra = peers.lat_l2;
+                break;
+            }
+            if micro == 0 || c + issued >= horizon {
+                break;
+            }
+        }
+        th.micro = micro;
+        grants += issued;
+        c += issued;
+        wake_at[t] = c + extra;
+        if micro == 0 {
+            th.op_pos += 1;
+            if th.op_pos == th.op_end {
+                th.op_pos = th.op_start;
+                iterations[t] += 1;
+            }
+        }
+    }
+    (c, grants)
+}
+
 /// Reusable per-lane state: one [`TaskHot`] record per task for the hot
 /// fields, structure-of-arrays vectors for everything touched rarely (or
 /// aggregated per core / pipe / queue / bank / controller), reset in place
@@ -304,6 +466,8 @@ struct Scratch {
     transmits: Vec<u64>,
     /// `seq_cursors[task * n_regions + region]`.
     seq_cursors: Vec<u64>,
+    /// Global pipe of each task.
+    task_pipe: Vec<usize>,
     // Per core.
     core_code: Vec<u64>,
     l1d: Vec<LaneCache>,
@@ -312,15 +476,14 @@ struct Scratch {
     crypto_free: Vec<u64>,
     // Per pipe.
     pipe_tasks: Vec<Vec<usize>>,
-    /// Visit order for the arbitration loop: `(pipe, solo)` per active
-    /// pipe in ascending pipe order, where `solo` is the pipe's only task
-    /// when it has exactly one (arbitration degenerates to a wake check)
-    /// or `usize::MAX` for the general scan.
-    visits: Vec<(usize, usize)>,
+    /// The pipe's only task when it has exactly one (arbitration
+    /// degenerates to a wake check), else `usize::MAX`.
+    solo: Vec<usize>,
     pipe_rr: Vec<usize>,
-    /// Earliest cycle at which pipe `p` might have a ready strand — a
-    /// conservative lower bound used to skip the arbitration scan for
-    /// pipes that are certainly all-blocked. Never affects outcomes.
+    /// The next cycle at which pipe `p` must be arbitrated: its solo
+    /// strand's wake-up, the next wake-up of an all-blocked shared pipe,
+    /// or the hold left by [`fast_forward`]. Never later than the pipe's
+    /// next grant, and `u64::MAX` for a pipe without tasks.
     pipe_next: Vec<u64>,
     // Per queue.
     q_count: Vec<usize>,
@@ -373,6 +536,8 @@ pub struct BatchSimulator<'a> {
     task_ops: Vec<(usize, usize)>,
     /// Queue capacities (assignment-independent).
     q_cap: Vec<usize>,
+    /// `(producer, consumer)` task of each queue.
+    q_ends: Vec<(usize, usize)>,
     scratch: Scratch,
 }
 
@@ -484,8 +649,9 @@ impl<'a> BatchSimulator<'a> {
             lsu_free: vec![0; topo.cores],
             fpu_free: vec![0; topo.cores],
             crypto_free: vec![0; topo.cores],
+            task_pipe: vec![0; n_tasks],
             pipe_tasks: vec![Vec::new(); topo.pipes()],
-            visits: Vec::with_capacity(topo.pipes()),
+            solo: vec![usize::MAX; topo.pipes()],
             pipe_rr: vec![0; topo.pipes()],
             pipe_next: vec![0; topo.pipes()],
             q_count: vec![0; n_queues],
@@ -506,6 +672,11 @@ impl<'a> BatchSimulator<'a> {
             mem_ops,
             task_ops,
             q_cap: workload.queues().iter().map(|q| q.capacity).collect(),
+            q_ends: workload
+                .queues()
+                .iter()
+                .map(|q| (q.producer.0, q.consumer.0))
+                .collect(),
             scratch,
         })
     }
@@ -574,8 +745,9 @@ impl<'a> BatchSimulator<'a> {
             lsu_free,
             fpu_free,
             crypto_free,
+            task_pipe,
             pipe_tasks,
-            visits,
+            solo,
             pipe_rr,
             pipe_next,
             q_count,
@@ -635,18 +807,14 @@ impl<'a> BatchSimulator<'a> {
             list.clear();
         }
         for (t, &ctx) in assignment.iter().enumerate() {
-            pipe_tasks[topo.pipe_of(ctx)].push(t);
+            task_pipe[t] = topo.pipe_of(ctx);
+            pipe_tasks[task_pipe[t]].push(t);
         }
-        visits.clear();
         for (p, list) in pipe_tasks.iter().enumerate() {
-            match list.len() {
-                0 => {}
-                1 => visits.push((p, list[0])),
-                _ => visits.push((p, usize::MAX)),
-            }
+            solo[p] = if list.len() == 1 { list[0] } else { usize::MAX };
+            pipe_next[p] = if list.is_empty() { u64::MAX } else { 0 };
         }
         pipe_rr.fill(0);
-        pipe_next.fill(0);
 
         // ---- queues -----------------------------------------------------
         q_count.fill(0);
@@ -670,11 +838,18 @@ impl<'a> BatchSimulator<'a> {
         bank_free.fill(0);
         mc_free.fill(0);
 
-        // ---- main loop (exact port of Simulator::run) -------------------
+        // ---- main loop (same grants as Simulator::run) -----------------
         // The scalar engine's single loop is split into a warm-up window
         // and a measurement window with the boundary reset in between, so
         // the `measuring` flag becomes a compile-time constant inside each
         // window. `issue_op!` / `run_window!` stamp out the shared body.
+        // Every grant the scalar loop makes is made here too, with the same
+        // draws, at the same cycle, in the same per-pipe order. Two
+        // shortcuts change only which cycles the loop visits: it steps
+        // straight to the next cycle in which some pipe must be
+        // arbitrated, and after each grant `fast_forward` makes the pipe's
+        // following private grants (`Int` micro-ops, queue retries that
+        // must fail) ahead of the other pipes.
         let total_end = warmup_cycles + measure_cycles;
         let mut now: u64 = 0;
         let mut issue_slots: u64 = 0;
@@ -840,35 +1015,31 @@ impl<'a> BatchSimulator<'a> {
         macro_rules! run_window {
             ($end:expr, $measuring:expr) => {
                 while now < $end {
-                    let mut granted = 0usize;
+                    let mut granted = false;
                     // Visit pipes in two steps: a branchless pass computes
-                    // a bitmask of the pipes that might issue this cycle
-                    // (solo wake check, or the conservative all-blocked
-                    // bound for shared pipes), then only the set bits are
-                    // walked. At typical issue densities roughly half the
-                    // pipes are blocked each cycle, and folding those
-                    // unpredictable per-pipe branches into setcc arithmetic
-                    // is markedly cheaper than mispredicting them.
-                    for chunk in visits.chunks(32) {
-                        let mut due: u32 = 0;
-                        for (i, &(p, solo)) in chunk.iter().enumerate() {
-                            let ready = if solo != usize::MAX {
-                                wake_at[solo] <= now
-                            } else {
-                                pipe_next[p] <= now
-                            };
-                            due |= u32::from(ready) << i;
+                    // a bitmask of the pipes due this cycle, then only the
+                    // set bits are walked, in ascending pipe order. At
+                    // typical issue densities most pipes are not due, and
+                    // folding those unpredictable per-pipe branches into
+                    // setcc arithmetic is markedly cheaper than
+                    // mispredicting them.
+                    let pipes = pipe_next.len();
+                    let mut base = 0;
+                    while base < pipes {
+                        let top = (base + 64).min(pipes);
+                        let mut due: u64 = 0;
+                        for (i, &at) in pipe_next[base..top].iter().enumerate() {
+                            due |= u64::from(at <= now) << i;
                         }
                         while due != 0 {
-                            let i = due.trailing_zeros() as usize;
+                            let p = base + due.trailing_zeros() as usize;
                             due &= due - 1;
-                            let (p, solo) = chunk[i];
-                            let t = if solo != usize::MAX {
-                                // Single-strand pipe: the wake check above
-                                // was the whole arbitration; the round-robin
-                                // pointer and blocked-pipe bound never
-                                // change outcomes.
-                                solo
+                            let only = solo[p];
+                            let t = if only != usize::MAX {
+                                // Single-strand pipe: its `pipe_next` is
+                                // the strand's wake-up, so being due is the
+                                // whole arbitration.
+                                only
                             } else {
                                 let list = &pipe_tasks[p];
                                 let len = list.len();
@@ -896,39 +1067,64 @@ impl<'a> BatchSimulator<'a> {
                                 }
                                 let Some((pos, t)) = chosen else {
                                     // Full scan failed: `earliest` is the
-                                    // true next wake-up of this pipe; skip
-                                    // it until then.
+                                    // true next wake-up of this pipe.
                                     pipe_next[p] = earliest;
                                     continue;
                                 };
-                                // A grant invalidates the bound (other
-                                // strands may already be ready); `now`
-                                // keeps the skip disabled until the next
-                                // failed scan tightens it again.
-                                pipe_next[p] = now;
                                 pipe_rr[p] = if pos + 1 == len { 0 } else { pos + 1 };
                                 t
                             };
-                            granted += 1;
-                            if $measuring {
-                                issue_slots += 1;
-                            }
+                            granted = true;
                             issue_op!(t, $measuring);
+                            // Run this pipe ahead through its private
+                            // grants and hold it until the cycle it must
+                            // be arbitrated again.
+                            let peers = Peers {
+                                ops,
+                                task_pipe,
+                                pipe_next,
+                                q_count,
+                                q_cap: &self.q_cap,
+                                q_ends: &self.q_ends,
+                                lat_l2: cfg.lat_l2,
+                                queue_retry: cfg.queue_retry,
+                            };
+                            let (hold, replayed) = fast_forward(
+                                p,
+                                &pipe_tasks[p],
+                                &mut pipe_rr[p],
+                                now + 1,
+                                $end,
+                                peers,
+                                tasks,
+                                wake_at,
+                                iterations,
+                            );
+                            pipe_next[p] = if only != usize::MAX {
+                                wake_at[only]
+                            } else {
+                                hold
+                            };
+                            if $measuring {
+                                issue_slots += 1 + replayed;
+                            }
                         }
+                        base = top;
                     }
 
-                    if granted == 0 {
-                        // Jump to the next wake-up instead of spinning.
-                        let next = wake_at
-                            .iter()
-                            .copied()
-                            .filter(|&w| w > now)
-                            .min()
-                            .unwrap_or(now + 1);
-                        now = next.min(total_end).max(now + 1);
+                    // Every pipe's `pipe_next` is now past `now` and no
+                    // later than its next grant, so their minimum is the
+                    // next cycle in which anything can issue. The scalar
+                    // engine steps one cycle after a grant instead; that
+                    // only shows when the step lands on the window end,
+                    // where it decides the measurement-boundary reset.
+                    let next = pipe_next.iter().copied().min().unwrap_or(u64::MAX);
+                    debug_assert!(next > now);
+                    now = if granted && now + 1 == $end {
+                        $end
                     } else {
-                        now += 1;
-                    }
+                        next.min(total_end)
+                    };
                 }
             };
         }
@@ -990,7 +1186,7 @@ impl<'a> BatchSimulator<'a> {
 mod tests {
     use super::*;
     use crate::engine::Simulator;
-    use crate::program::ProgramBuilder;
+    use crate::program::{ProgramBuilder, QueueId};
     use crate::topology::Topology;
 
     fn machine() -> MachineConfig {
@@ -1135,6 +1331,141 @@ mod tests {
             let scalar = Simulator::new(&m, &w, a).unwrap().run(1_000, 10_000);
             let fast = batch.run_one(a, 1_000, 10_000).unwrap();
             assert_eq!(fast, scalar, "assignment {a:?}");
+        }
+    }
+
+    #[test]
+    fn int_only_pipe_with_l1i_overflow_matches() {
+        // Four Int-only strands share pipe 0, and their 32 KiB code
+        // footprints overflow the core's 16 KiB L1I seven times over, so
+        // every micro-op draws an I-miss at `imiss_max`: the fast-forward's
+        // back-to-back run keeps breaking on misses, and the pipe's
+        // round-robin pointer is moved by replayed grants only.
+        let m = machine();
+        let mut w = WorkloadSpec::new(17);
+        for (i, prog) in [
+            ProgramBuilder::new().int(13).build(),
+            ProgramBuilder::new().int(3).int(8).build(),
+            ProgramBuilder::new().int(1).build(),
+            ProgramBuilder::new().int(40).int(2).build(),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            w.add_task(format!("int{i}"), prog, 32 * 1024);
+        }
+        let mut batch = BatchSimulator::new(&m, &w).unwrap();
+        for a in [&[0usize, 1, 2, 3][..], &[3, 1, 0, 2], &[0, 1, 2, 9]] {
+            for (warm, meas) in [(0, 5_000), (7, 9), (1_001, 2_999), (20_000, 80_000)] {
+                let scalar = Simulator::new(&m, &w, a).unwrap().run(warm, meas);
+                let fast = batch.run_one(a, warm, meas).unwrap();
+                assert_eq!(fast, scalar, "assignment {a:?}, windows ({warm}, {meas})");
+            }
+        }
+    }
+
+    #[test]
+    fn imiss_on_last_warmup_cycle_matches() {
+        // One Int-only strand alone on its pipe, missing L1I at
+        // `imiss_max`. Whenever its grant on the last warm-up cycle
+        // misses, its next wake-up lies past a 9-cycle measurement window:
+        // the scalar loop still steps onto the boundary and resets the
+        // counters, so the replay must leave that grant to the cycle loop.
+        let m = machine();
+        let mut w = WorkloadSpec::new(31);
+        w.add_task("int", ProgramBuilder::new().int(3).build(), 64 * 1024);
+        let mut batch = BatchSimulator::new(&m, &w).unwrap();
+        for warm in 1..300 {
+            let scalar = Simulator::new(&m, &w, &[5]).unwrap().run(warm, 9);
+            let fast = batch.run_one(&[5], warm, 9).unwrap();
+            assert_eq!(fast, scalar, "windows ({warm}, 9)");
+        }
+    }
+
+    #[test]
+    fn blocked_queue_retries_match() {
+        // Two one-slot queues: a fast producer that keeps finding `q0`
+        // full, and a slow producer whose consumer keeps finding `q1`
+        // empty. Retries are replayed only until the peer that could
+        // unblock them may issue; the assignments put the peers on the
+        // same pipe, on sibling pipes of one core, and on other cores.
+        let m = machine();
+        let mut w = WorkloadSpec::new(41);
+        let r = w.add_region("table", 512 * 1024, AccessPattern::Uniform);
+        let (q0, q1) = (QueueId(0), QueueId(1));
+        let fast = w.add_task("fast", ProgramBuilder::new().int(2).push(q0).build(), 4096);
+        let slow = w.add_task(
+            "slow",
+            ProgramBuilder::new()
+                .pop(q0)
+                .loads(r, 3)
+                .int(9)
+                .push(q1)
+                .build(),
+            4096,
+        );
+        let sink = w.add_task(
+            "sink",
+            ProgramBuilder::new().pop(q1).mul(2).transmit().build(),
+            4096,
+        );
+        assert_eq!(w.add_queue(fast, slow, 1), q0);
+        assert_eq!(w.add_queue(slow, sink, 1), q1);
+        let mut batch = BatchSimulator::new(&m, &w).unwrap();
+        for a in [
+            &[0usize, 1, 2][..],
+            &[2, 0, 1],
+            &[0, 4, 5],
+            &[4, 0, 1],
+            &[0, 8, 16],
+            &[16, 8, 0],
+            &[0, 1, 8],
+        ] {
+            for (warm, meas) in [(0, 5_000), (7, 9), (1_001, 2_999), (20_000, 80_000)] {
+                let scalar = Simulator::new(&m, &w, a).unwrap().run(warm, meas);
+                let fast = batch.run_one(a, warm, meas).unwrap();
+                assert_eq!(fast, scalar, "assignment {a:?}, windows ({warm}, {meas})");
+            }
+        }
+    }
+
+    #[test]
+    fn window_ends_inside_int_bursts_match() {
+        // A 5000-micro-op burst on a solo pipe and on a shared one, next to
+        // memory and queue traffic: the warm-up and measurement ends fall
+        // inside a burst, so the replay must stop short of each window end.
+        let m = machine();
+        let mut w = WorkloadSpec::new(29);
+        let r = w.add_region("table", 64 * 1024, AccessPattern::Uniform);
+        let q = QueueId(0);
+        w.add_task(
+            "long",
+            ProgramBuilder::new()
+                .int(5_000)
+                .loads(r, 1)
+                .transmit()
+                .build(),
+            2048,
+        );
+        let prod = w.add_task("prod", ProgramBuilder::new().int(37).push(q).build(), 2048);
+        let cons = w.add_task(
+            "cons",
+            ProgramBuilder::new()
+                .pop(q)
+                .int(11)
+                .loads(r, 2)
+                .transmit()
+                .build(),
+            2048,
+        );
+        assert_eq!(w.add_queue(prod, cons, 4), q);
+        let mut batch = BatchSimulator::new(&m, &w).unwrap();
+        for a in [&[0usize, 4, 8][..], &[0, 1, 2], &[1, 0, 40]] {
+            for (warm, meas) in [(7, 9), (1_001, 2_999), (20_000, 80_000)] {
+                let scalar = Simulator::new(&m, &w, a).unwrap().run(warm, meas);
+                let fast = batch.run_one(a, warm, meas).unwrap();
+                assert_eq!(fast, scalar, "assignment {a:?}, windows ({warm}, {meas})");
+            }
         }
     }
 

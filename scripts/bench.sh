@@ -71,7 +71,7 @@ for name in simulator sampling; do
     fi
     echo "==> bench_gate ${name}"
     # Floor 1.1x: the batched path must beat scalar by a clear margin
-    # even under VM noise (measured speedups sit at 1.25-1.5x).
+    # even under VM noise (measured speedups sit at 2.5-3.4x).
     if [[ -f "${BASELINE}" ]]; then
         target/release/bench_gate "${CURRENT}" "${BASELINE}" \
             --threshold 0.10 --floor 1.1 || STATUS=1
