@@ -28,7 +28,7 @@ fn main() {
     print_table(&["rank", "performance"], &rows);
 
     println!("\nFigure 6(b): sample mean excess plot e_n(u)\n");
-    let plot = MeanExcessPlot::new(&sorted).expect("large sample");
+    let plot = MeanExcessPlot::from_sorted(&sorted).expect("large sample");
     let points = plot.points();
     let mut rows = Vec::new();
     for i in 0..20 {

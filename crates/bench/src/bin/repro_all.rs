@@ -177,7 +177,7 @@ fn fig1_and_fig3() -> Vec<f64> {
 fn fig6_and_7(pool: &optassign::study::SampleStudy) {
     println!("---- Figures 6 & 7: threshold + profile likelihood (IPFwd-L1) ----\n");
     let sorted = optassign_stats::descriptive::sorted(pool.performances());
-    let plot = MeanExcessPlot::new(&sorted).expect("large sample");
+    let plot = MeanExcessPlot::from_sorted(&sorted).expect("large sample");
     let u95 = sorted[(sorted.len() as f64 * 0.95) as usize];
     match plot.linearity_above(u95) {
         Ok(fit) => println!(

@@ -150,20 +150,74 @@ impl Gpd {
         Some((self.scale + self.shape * u) / (1.0 - self.shape))
     }
 
-    /// Log-likelihood of an iid sample of exceedances under this GPD.
+    /// Log-likelihood of an iid sample of `m` exceedances under this GPD,
+    /// in closed form:
+    ///
+    /// ```text
+    /// ℓ(ξ, σ) = −m·ln σ − (1 + 1/ξ)·Σ ln(1 + ξ·yᵢ/σ)   (ξ ≠ 0)
+    ///         = −m·ln σ − Σ yᵢ/σ                      (ξ = 0)
+    /// ```
+    ///
+    /// Each observation costs one `ln_1p` where `ln pdf(y)` costs a `powf`
+    /// and a `ln`; this is the maximum-likelihood fit's objective,
+    /// evaluated hundreds of times per fit. `ξ·y/σ` is rounded exactly as
+    /// [`Gpd::pdf`] rounds it, so both draw the support's edge alike.
     ///
     /// Returns `f64::NEG_INFINITY` when any observation falls outside the
-    /// support — convenient for feeding optimizers directly.
+    /// support (`y < 0`, or `1 + ξ·y/σ ≤ 0`: at or beyond the upper
+    /// endpoint when `ξ < 0`) — convenient for feeding optimizers
+    /// directly. Never returns NaN.
+    ///
+    /// Two cases differ from summing `ln pdf(y)`, which rounds
+    /// `t = 1 + ξ·y/σ` before raising it to a power:
+    ///
+    /// * near the upper endpoint (or far out in a heavy tail),
+    ///   `t^(−1/ξ − 1)` underflows to 0 although `t > 0`, so that sum is
+    ///   `−∞`; here the value is finite, as the density is positive;
+    /// * for small `|ξ|` the rounding of `t` costs that sum the precision
+    ///   of its `Σ yᵢ/σ` term (about 1e-4 relative at `|ξ| = 1e-12`), and
+    ///   once every `|ξ·yᵢ/σ| < 2⁻⁵³` the term is gone (`t` is 1); here
+    ///   the value tends to the exponential (`ξ = 0`) case as `ξ → 0`,
+    ///   and is that case when `1/ξ` overflows.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use optassign_evt::Gpd;
+    ///
+    /// let g = Gpd::new(-0.5, 2.0).unwrap();
+    /// let ys = [0.5, 1.0, 3.0];
+    /// let by_pdf: f64 = ys.iter().map(|&y| g.pdf(y).ln()).sum();
+    /// assert!((g.log_likelihood(&ys) - by_pdf).abs() < 1e-12);
+    /// // The upper endpoint −σ/ξ = 4 is outside the support.
+    /// assert_eq!(g.log_likelihood(&[1.0, 4.0]), f64::NEG_INFINITY);
+    /// ```
     pub fn log_likelihood(&self, sample: &[f64]) -> f64 {
-        let mut ll = 0.0;
+        let m = sample.len() as f64;
+        let inv_shape = 1.0 / self.shape;
+        if inv_shape.is_infinite() {
+            // ξ = 0 (or so close that 1/ξ overflows): the exponential.
+            let mut sum = 0.0;
+            for &y in sample {
+                if y.is_nan() || y < 0.0 {
+                    return f64::NEG_INFINITY;
+                }
+                sum += y;
+            }
+            return -m * self.scale.ln() - sum / self.scale;
+        }
+        let mut s = 0.0;
         for &y in sample {
-            let d = self.pdf(y);
-            if d <= 0.0 {
+            let z = self.shape * y / self.scale;
+            // z is NaN only when y is.
+            if y.is_nan() || y < 0.0 || z <= -1.0 {
                 return f64::NEG_INFINITY;
             }
-            ll += d.ln();
+            s += z.ln_1p();
         }
-        ll
+        // Inside the support every `ln_1p` is finite or, for an infinite
+        // y with ξ > 0, +∞ under a positive factor: no 0·∞, no NaN.
+        -m * self.scale.ln() - (1.0 + inv_shape) * s
     }
 
     /// Draws one observation via inverse-transform sampling.
@@ -246,12 +300,156 @@ mod tests {
         assert!((e0 - 2.0 / 1.3).abs() < 1e-12);
     }
 
+    /// The log-likelihood as a sum of log densities: the definition the
+    /// closed form replaces, kept as its test oracle.
+    fn ll_by_pdf(g: &Gpd, ys: &[f64]) -> f64 {
+        let mut ll = 0.0;
+        for &y in ys {
+            let d = g.pdf(y);
+            if d <= 0.0 {
+                return f64::NEG_INFINITY;
+            }
+            ll += d.ln();
+        }
+        ll
+    }
+
+    /// `|got − want|` relative to the summands' magnitude `Σ |ln pdf(yᵢ)|`,
+    /// the scale a sum's rounding error lives on (the sum itself may
+    /// cancel to near zero).
+    fn rel_err_vs_oracle(g: &Gpd, ys: &[f64]) -> f64 {
+        let want = ll_by_pdf(g, ys);
+        let got = g.log_likelihood(ys);
+        assert!(
+            want.is_finite() && got.is_finite(),
+            "{g:?}: {got} vs {want}"
+        );
+        let scale: f64 = ys.iter().map(|&y| g.pdf(y).ln().abs()).sum();
+        (got - want).abs() / scale.max(f64::MIN_POSITIVE)
+    }
+
+    #[test]
+    fn closed_form_log_likelihood_matches_pdf_sum() {
+        let mut rng = optassign_stats::rng::StdRng::seed_from_u64(14);
+        let mut worst = 0.0f64;
+        for case in 0..2000 {
+            // Every eighth case is the exponential, ξ = 0.
+            let shape = if case % 8 == 0 {
+                0.0
+            } else {
+                rng.gen_range(-1.5f64..1.5)
+            };
+            let scale = rng.gen_range(0.05f64..20.0);
+            let g = Gpd::new(shape, scale).unwrap();
+            let m = [1usize, 10, 50, 500][case % 4];
+            // Draws from the distribution itself lie inside its support
+            // (for ξ < −1 the density at the endpoint is infinite: skip
+            // draws that land on it).
+            let ys: Vec<f64> = g
+                .sample_n(&mut rng, m)
+                .into_iter()
+                .filter(|&y| g.pdf(y).is_finite() && g.pdf(y) > 0.0)
+                .collect();
+            if ys.is_empty() {
+                continue;
+            }
+            worst = worst.max(rel_err_vs_oracle(&g, &ys));
+        }
+        assert!(worst <= 1e-12, "worst relative error {worst:e}");
+    }
+
+    #[test]
+    fn tiny_shapes_tend_to_the_exponential() {
+        // For small ξ, ℓ = −m·ln σ − Σa − ξ·Σ(a − a²/2) + O(ξ²), a = y/σ.
+        // The pdf sum rounds t = 1 + ξ·a first: at |ξ| = 1e-12 that costs
+        // its Σa term ~1e-4 of its digits, at 1e-300 the whole term. So the
+        // reference here is the expansion, not the oracle.
+        let mut rng = optassign_stats::rng::StdRng::seed_from_u64(16);
+        let scale = 2.5;
+        let ys = Gpd::new(0.0, scale).unwrap().sample_n(&mut rng, 300);
+        let m = ys.len() as f64;
+        let sum_a: f64 = ys.iter().map(|&y| y / scale).sum();
+        let sum_c: f64 = ys
+            .iter()
+            .map(|&y| y / scale - (y / scale).powi(2) / 2.0)
+            .sum();
+        for &shape in &[1e-12, -1e-12, 1e-300, -1e-300] {
+            let g = Gpd::new(shape, scale).unwrap();
+            let want = -m * f64::ln(scale) - sum_a - shape * sum_c;
+            let got = g.log_likelihood(&ys);
+            assert!(
+                ((got - want) / want).abs() <= 1e-12,
+                "ξ={shape}: {got} vs {want}"
+            );
+        }
+        // Where the pdf sum's t rounds to 1 it reads −m·ln σ: Σa short.
+        let old = ll_by_pdf(&Gpd::new(1e-300, scale).unwrap(), &ys);
+        assert!((old - -m * f64::ln(scale)).abs() <= 1e-9 * old.abs());
+    }
+
+    #[test]
+    fn overflowing_inverse_shape_is_the_exponential_never_nan() {
+        let ys = [0.0, 0.0, 1.0, 3.5, 0.25];
+        for &scale in &[0.5, 1.0, 40.0] {
+            let exponential = Gpd::new(0.0, scale).unwrap().log_likelihood(&ys);
+            // 1/ξ overflows for these (subnormal) shapes.
+            for &shape in &[5e-324, -5e-324, 1e-310, -1e-310, -0.0] {
+                let g = Gpd::new(shape, scale).unwrap();
+                assert!((1.0 / shape).is_infinite());
+                assert_eq!(g.log_likelihood(&ys).to_bits(), exponential.to_bits());
+            }
+            // All-zero exceedances: ln_1p(0) = 0 under any finite factor.
+            for &shape in &[1e-300, -1e-300, -1.0, 0.3] {
+                let g = Gpd::new(shape, scale).unwrap();
+                let ll = g.log_likelihood(&[0.0, 0.0]);
+                assert_eq!(ll, -2.0 * f64::ln(scale), "ξ={shape}");
+            }
+        }
+    }
+
     #[test]
     fn log_likelihood_rejects_out_of_support() {
         let g = Gpd::new(-0.5, 1.0).unwrap();
         // Upper endpoint is 2; 3.0 is outside.
         assert_eq!(g.log_likelihood(&[0.5, 3.0]), f64::NEG_INFINITY);
         assert!(g.log_likelihood(&[0.5, 1.5]).is_finite());
+        let inf = f64::NEG_INFINITY;
+        for &shape in &[-1.5, -1.0, -0.5, -1e-12, 0.0, 1e-12, 0.5] {
+            let g = Gpd::new(shape, 2.0).unwrap();
+            assert_eq!(g.log_likelihood(&[0.5, -1e-300]), inf, "ξ={shape}");
+            assert_eq!(g.log_likelihood(&[-3.0]), inf, "ξ={shape}");
+            assert_eq!(g.log_likelihood(&[0.5, f64::NAN]), inf, "ξ={shape}");
+            assert_eq!(g.log_likelihood(&[f64::INFINITY]), inf, "ξ={shape}");
+        }
+        for &shape in &[-2.0, -1.0, -0.5, -0.01] {
+            let g = Gpd::new(shape, 2.0).unwrap();
+            let end = g.upper_bound().unwrap();
+            assert_eq!(g.log_likelihood(&[0.1, end]), inf, "ξ={shape} at endpoint");
+            assert_eq!(g.log_likelihood(&[end * 1.5]), inf, "ξ={shape} beyond");
+            let inside = end * (1.0 - 1e-9);
+            assert!(g.log_likelihood(&[0.1, inside]).is_finite(), "ξ={shape}");
+        }
+    }
+
+    #[test]
+    fn finite_where_the_pdf_underflows() {
+        // ξ = −0.01, σ = 1: endpoint 100. At y = 99.99, t = 1e-4 and
+        // pdf = t^99 ≈ 1e-396 underflows to 0, so the pdf sum is −∞; the
+        // density is positive and the closed form is finite:
+        // ℓ = −(1 − 100)·ln t = 99·ln 1e-4.
+        let g = Gpd::new(-0.01, 1.0).unwrap();
+        let y = 99.99;
+        assert_eq!(ll_by_pdf(&g, &[y]), f64::NEG_INFINITY);
+        let got = g.log_likelihood(&[y]);
+        let want = 99.0 * f64::ln(1e-4);
+        assert!(((got - want) / want).abs() < 1e-9, "{got} vs {want}");
+        // The same in a heavy tail: ξ = 2 far out, t^(−1.5) underflows.
+        let g = Gpd::new(2.0, 1.0).unwrap();
+        let y = 1e220;
+        assert_eq!(ll_by_pdf(&g, &[y]), f64::NEG_INFINITY);
+        let want = -1.5 * f64::ln(2.0 * y);
+        let got = g.log_likelihood(&[y]);
+        assert!(((got - want) / want).abs() < 1e-12, "{got} vs {want}");
     }
 
     #[test]

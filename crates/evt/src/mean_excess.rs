@@ -47,23 +47,40 @@ pub struct MeanExcessPlot {
 }
 
 impl MeanExcessPlot {
-    /// Builds the plot from a sample (any order), evaluating `eₙ(u)` at
-    /// every distinct observation except the maximum (where the excess set
-    /// is empty).
+    /// Builds the plot from an **ascending-sorted** sample, evaluating
+    /// `eₙ(u)` at every distinct observation except the maximum (where the
+    /// excess set is empty).
+    ///
+    /// The POT pipeline sorts its sample once and hands the same slice to
+    /// the threshold rule and to this plot; sort other samples with
+    /// [`optassign_stats::descriptive::sorted`] first.
     ///
     /// # Errors
     ///
     /// Returns [`EvtError::NotEnoughData`] for samples with fewer than two
     /// observations.
-    pub fn new(sample: &[f64]) -> Result<Self, EvtError> {
-        if sample.len() < 2 {
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use optassign_evt::mean_excess::MeanExcessPlot;
+    ///
+    /// let sorted = optassign_stats::descriptive::sorted(&[3.0, 1.0, 2.0, 2.0, 5.0]);
+    /// let plot = MeanExcessPlot::from_sorted(&sorted).unwrap();
+    /// assert_eq!(plot.points()[0], (1.0, 2.0)); // excesses {1, 1, 2, 4} over u = 1
+    /// ```
+    pub fn from_sorted(sorted: &[f64]) -> Result<Self, EvtError> {
+        if sorted.len() < 2 {
             return Err(EvtError::NotEnoughData {
                 what: "mean excess plot",
                 needed: 2,
-                got: sample.len(),
+                got: sorted.len(),
             });
         }
-        let sorted = optassign_stats::descriptive::sorted(sample);
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0] <= w[1]),
+            "mean excess plot needs an ascending-sorted sample"
+        );
         let n = sorted.len();
         // Suffix sums make the whole plot O(n): for u = x_i, the excess set
         // is x_k.. with k the first index holding a value > u.
@@ -141,8 +158,8 @@ mod tests {
 
     #[test]
     fn plot_needs_two_points() {
-        assert!(MeanExcessPlot::new(&[1.0]).is_err());
-        assert!(MeanExcessPlot::new(&[1.0, 2.0]).is_ok());
+        assert!(MeanExcessPlot::from_sorted(&[1.0]).is_err());
+        assert!(MeanExcessPlot::from_sorted(&[1.0, 2.0]).is_ok());
     }
 
     #[test]
@@ -151,7 +168,7 @@ mod tests {
         // definition on an awkward sample (duplicates, negatives).
         let sample = [3.0, 1.0, 1.0, 2.5, 2.5, 2.5, -1.0, 7.0, 7.0, 0.0];
         let sorted = optassign_stats::descriptive::sorted(&sample);
-        let plot = MeanExcessPlot::new(&sample).unwrap();
+        let plot = MeanExcessPlot::from_sorted(&sorted).unwrap();
         for &(u, e) in plot.points() {
             let direct = mean_excess_at(&sorted, u).expect("u below max");
             assert!((e - direct).abs() < 1e-12, "u={u}: {e} vs {direct}");
@@ -167,7 +184,7 @@ mod tests {
 
     #[test]
     fn plot_points_are_ascending_and_deduplicated() {
-        let p = MeanExcessPlot::new(&[3.0, 1.0, 2.0, 2.0, 5.0]).unwrap();
+        let p = MeanExcessPlot::from_sorted(&[1.0, 2.0, 2.0, 3.0, 5.0]).unwrap();
         let xs: Vec<f64> = p.points().iter().map(|&(u, _)| u).collect();
         assert_eq!(xs, vec![1.0, 2.0, 3.0]);
     }
@@ -178,8 +195,8 @@ mod tests {
         // high linearity above a moderate threshold.
         let g = Gpd::new(-0.4, 1.0).unwrap();
         let mut rng = optassign_stats::rng::StdRng::seed_from_u64(11);
-        let sample = g.sample_n(&mut rng, 5000);
-        let plot = MeanExcessPlot::new(&sample).unwrap();
+        let sample = optassign_stats::descriptive::sorted(&g.sample_n(&mut rng, 5000));
+        let plot = MeanExcessPlot::from_sorted(&sample).unwrap();
         let fit = plot.linearity_above(0.2).unwrap();
         assert!(fit.r_squared > 0.9, "r2 = {}", fit.r_squared);
         // ξ < 0 shows as a decreasing mean excess: slope ≈ ξ/(1−ξ) < 0.
@@ -196,8 +213,8 @@ mod tests {
     fn exponential_sample_has_flat_tail() {
         let g = Gpd::new(0.0, 2.0).unwrap();
         let mut rng = optassign_stats::rng::StdRng::seed_from_u64(5);
-        let sample = g.sample_n(&mut rng, 5000);
-        let plot = MeanExcessPlot::new(&sample).unwrap();
+        let sample = optassign_stats::descriptive::sorted(&g.sample_n(&mut rng, 5000));
+        let plot = MeanExcessPlot::from_sorted(&sample).unwrap();
         let fit = plot.linearity_above(0.5).unwrap();
         // Slope of e(u) for exponential is 0 (up to heavy tail noise).
         assert!(fit.slope.abs() < 0.4, "slope = {}", fit.slope);
@@ -205,7 +222,7 @@ mod tests {
 
     #[test]
     fn linearity_needs_three_tail_points() {
-        let p = MeanExcessPlot::new(&[1.0, 2.0, 3.0, 4.0]).unwrap();
+        let p = MeanExcessPlot::from_sorted(&[1.0, 2.0, 3.0, 4.0]).unwrap();
         assert!(p.linearity_above(3.5).is_err());
     }
 }

@@ -147,7 +147,7 @@ impl PotAnalysis {
         };
         let upb = estimate_upb(u, &exceedances, config.confidence)?;
 
-        let me_plot = MeanExcessPlot::new(&sorted)?;
+        let me_plot = MeanExcessPlot::from_sorted(&sorted)?;
         let mean_excess_r2 = me_plot
             .linearity_above(u)
             .map(|f| f.r_squared)
@@ -243,7 +243,7 @@ fn select_threshold(sorted: &[f64], rule: &ThresholdRule) -> Result<f64, EvtErro
             if !(max_fraction > 0.0 && max_fraction < 1.0) {
                 return Err(EvtError::Domain("max_fraction must be in (0, 1)"));
             }
-            let me = MeanExcessPlot::new(sorted)?;
+            let me = MeanExcessPlot::from_sorted(sorted)?;
             let min_fraction = (fit::MIN_EXCEEDANCES.max(20) as f64 / n as f64).min(max_fraction);
             let mut best: Option<(f64, f64)> = None; // (r2, u)
             let steps = 8;

@@ -27,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Step 2: the mean-excess plot; linearity indicates the GPD regime.
-    let plot = MeanExcessPlot::new(&sample)?;
+    let plot = MeanExcessPlot::from_sorted(&sorted)?;
     let u = sorted[(sorted.len() as f64 * 0.95) as usize];
     let line = plot.linearity_above(u)?;
     println!(
