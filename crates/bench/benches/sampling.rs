@@ -1,17 +1,19 @@
 //! Micro-benchmarks of assignment generation, canonicalization, and the
-//! parallel sampling engine's throughput — with the study's per-item
-//! (scalar) and batched evaluation paths side by side.
+//! parallel sampling engine's throughput — per-item (scalar) evaluation
+//! and the study's batched evaluation path side by side.
 //!
 //! `--json <path>` writes the machine-readable report the perf gate
 //! (`bench_gate`) consumes; seeds are pinned. Set
 //! `OPTASSIGN_BENCH_WINDOW_MS` to shrink the measurement window for
 //! smoke runs.
 
-use optassign::sampling::random_assignment;
+use optassign::model::PerformanceModel;
+use optassign::sampling::{random_assignment, sample_assignments};
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
+use optassign_bench::case_study_model_small;
 use optassign_bench::microbench::{bench, bench_pair, bench_report_json, group, BenchEntry};
-use optassign_bench::{case_study_model_small, BenchArgs};
+use optassign_exec::parallel_map;
 use optassign_netapps::Benchmark;
 
 fn json_path() -> Option<String> {
@@ -26,8 +28,6 @@ fn json_path() -> Option<String> {
 
 fn main() {
     let topo = Topology::ultrasparc_t2();
-    let scale = BenchArgs::from_args();
-    let _ = &scale;
 
     group("random_assignment");
     // Rejection rate grows with density: 24 tasks ~1% acceptance on 64
@@ -46,18 +46,24 @@ fn main() {
 
     group("sampling_parallel");
     // Throughput of the deterministic parallel engine on a real
-    // simulator-backed study, on the per-item path (batch disabled) and
-    // the batched hot path (the default). Results are bit-identical in
-    // all four cells, so the only question is speed.
+    // simulator-backed study: the same sampled assignments measured one
+    // `evaluate` call per item through `parallel_map` (scalar), and
+    // through the study's batched path. Results are bit-identical in all
+    // four cells, so the only question is speed.
     let model = case_study_model_small(Benchmark::IpFwdL1, 2);
     let n = 48;
     let mut entries = Vec::new();
     for &workers in &[1usize, 4] {
-        let scalar_par = Parallelism::new(workers).with_batch(0);
         let batched_par = Parallelism::new(workers);
+        let per_item = || {
+            let mut rng = optassign_stats::rng::StdRng::seed_from_u64(7);
+            let assignments =
+                sample_assignments(n, model.tasks(), model.topology(), &mut rng).unwrap();
+            parallel_map(batched_par, n, |i| model.evaluate(&assignments[i]))
+        };
         let (scalar_ns, batch_ns) = bench_pair(
             &format!("sample_study/{n}x{workers}w/scalar"),
-            || SampleStudy::run_with(&model, n, 7, scalar_par).unwrap(),
+            per_item,
             &format!("sample_study/{n}x{workers}w/batched"),
             || SampleStudy::run_with(&model, n, 7, batched_par).unwrap(),
         );

@@ -38,8 +38,9 @@ fn batch_count() -> usize {
 /// median per-iteration time in nanoseconds.
 ///
 /// The harness first calibrates how many iterations fit in one batch, then
-/// times [`BATCHES`] batches and reports the median batch's per-iteration
-/// time, with the min/max batch spread as a dispersion hint.
+/// times 10 batches (`OPTASSIGN_BENCH_BATCHES` overrides) and reports the
+/// median batch's per-iteration time, with the min/max batch spread as a
+/// dispersion hint.
 pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
     let batches = batch_count();
     let iters = calibrate(&mut f, batches);
@@ -47,7 +48,7 @@ pub fn bench<R, F: FnMut() -> R>(name: &str, mut f: F) -> f64 {
     report(name, per_iter, iters)
 }
 
-/// [`bench`] for two variants of the same work whose *ratio* is gated:
+/// [`bench()`] for two variants of the same work whose *ratio* is gated:
 /// each is calibrated on its own, then their timed batches alternate, so
 /// a host that speeds up or slows down during the run moves both medians
 /// alike instead of skewing the ratio. Returns `(median_a, median_b)` in
@@ -118,7 +119,7 @@ fn report(name: &str, mut per_iter: Vec<f64>, iters_per_batch: u64) -> f64 {
     median
 }
 
-/// Like [`bench`], but also reports throughput for `bytes` of input
+/// Like [`bench()`], but also reports throughput for `bytes` of input
 /// processed per iteration.
 pub fn bench_throughput<R, F: FnMut() -> R>(name: &str, bytes: u64, f: F) {
     let median_nanos = bench(name, f);

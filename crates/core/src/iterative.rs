@@ -33,10 +33,7 @@ use crate::study::SampleStudy;
 use crate::{Assignment, CoreError};
 use optassign_evt::pot::PotConfig;
 use optassign_evt::resilient::{EstimateReport, FallbackPolicy, ResilientConfig};
-use optassign_exec::{
-    split_seed, try_parallel_map_batched, try_parallel_map_cached, try_parallel_map_obs,
-    Parallelism,
-};
+use optassign_exec::{split_seed, try_parallel_map_batched, Parallelism};
 use optassign_obs::{Event, Obs};
 use optassign_sim::Topology;
 use optassign_stats::rng::{Rng, StdRng};
@@ -340,64 +337,234 @@ pub trait BatchBackend {
     ) -> Result<Vec<SlotOutcome>, CoreError>;
 }
 
-/// Measures one batch slot. The slot's primary assignment gets
-/// `1 + max_retries` keyed attempts; an exhausted assignment is replaced
-/// from the slot's private redraw stream, up to `draw_cap` draws. The
-/// whole slot is a pure function of `(batch_salt, slot)` — independent
-/// of every other slot and of scheduling order.
-/// `first`, when supplied, is the precomputed outcome of the slot's
-/// first attempt (key 0 on the primary) from the batched prefetch —
-/// bit-identical to the keyed call it replaces.
-#[allow(clippy::too_many_arguments)]
-fn measure_batch_slot<M: PerformanceModel>(
-    model: &M,
-    primary: &Assignment,
-    batch_salt: u64,
-    slot: usize,
-    max_retries: usize,
-    draw_cap: usize,
-    first: Option<Result<f64, MeasureError>>,
-) -> Result<SlotOutcome, CoreError> {
-    let stream = split_seed(batch_salt, slot as u64);
-    let mut redraw_rng: Option<StdRng> = None;
-    let mut current = primary.clone();
-    let mut out = SlotOutcome {
-        measured: None,
-        attempts: 0,
-        retries: 0,
-        redrawn: 0,
-    };
-    // Consumed by the first iteration (draw 0, attempt 0) — the attempt
-    // the prefetch covered.
-    let mut prefetched = first;
-    for draw in 0..draw_cap {
-        for attempt in 0..=max_retries {
-            out.attempts += 1;
-            let key = (draw * (max_retries + 1) + attempt) as u32;
-            let outcome = match prefetched.take() {
-                Some(r) => r,
-                None => model.try_evaluate_at(&current, stream, key),
-            };
-            if let Ok(v) = outcome {
-                out.retries += attempt;
-                out.measured = Some((current, v));
-                return Ok(out);
+/// The keyed retry/redraw ladder every resilient slot runs — in a
+/// resilient study, an iterative batch, or a fleet lease; only the salts
+/// differ. A slot's primary assignment gets `1 + max_retries` keyed
+/// attempts on the stream `split_seed(stream_salt, slot)`; an exhausted
+/// assignment is replaced from the slot's private redraw stream
+/// `split_seed(redraw_salt, slot)`, up to `draw_cap` draws. The whole slot
+/// is a pure function of `(salts, slot)` — independent of every other
+/// slot and of scheduling order.
+pub(crate) struct SlotLadder {
+    /// Parent seed of the slots' fault streams.
+    pub(crate) stream_salt: u64,
+    /// Parent seed of the slots' replacement-draw streams.
+    pub(crate) redraw_salt: u64,
+    /// Retries per assignment before it is abandoned and redrawn.
+    pub(crate) max_retries: usize,
+    /// Draws per slot (the primary plus replacements).
+    pub(crate) draw_cap: usize,
+}
+
+/// A slot's ladder outcome, paired with its last attempt's error when
+/// the slot was abandoned after at least one attempt.
+pub(crate) type LadderRun = (SlotOutcome, Option<MeasureError>);
+
+impl SlotLadder {
+    /// Runs the ladder for one chunk of slots; `slot_of` maps each index
+    /// in `idxs` to its slot number and primary assignment. Every slot's
+    /// first attempt (key 0 on its primary) is prefetched through the
+    /// model's keyed batch entry point
+    /// ([`PerformanceModel::try_evaluate_batch_at`], amortizing
+    /// per-evaluation setup), then each slot finishes its ladder on the
+    /// scalar keyed path. The keyed contract makes the prefetch
+    /// invisible: `(stream, attempt)` addresses the same outcome either
+    /// way.
+    pub(crate) fn measure_chunk<'a, M: PerformanceModel>(
+        &self,
+        model: &M,
+        idxs: &[usize],
+        slot_of: impl Fn(usize) -> (u64, &'a Assignment),
+    ) -> Vec<Result<LadderRun, CoreError>> {
+        let slots: Vec<(u64, &Assignment)> = idxs.iter().map(|&i| slot_of(i)).collect();
+        let chunk: Vec<Assignment> = slots.iter().map(|&(_, a)| a.clone()).collect();
+        let keys: Vec<(u64, u32)> = slots
+            .iter()
+            .map(|&(slot, _)| (split_seed(self.stream_salt, slot), 0))
+            .collect();
+        let first = model.try_evaluate_batch_at(&chunk, &keys);
+        slots
+            .iter()
+            .zip(first)
+            .map(|(&(slot, primary), first)| self.measure_slot(model, primary, slot, first))
+            .collect()
+    }
+
+    /// One slot's ladder, given the outcome of its first attempt.
+    fn measure_slot<M: PerformanceModel>(
+        &self,
+        model: &M,
+        primary: &Assignment,
+        slot: u64,
+        first: Result<f64, MeasureError>,
+    ) -> Result<LadderRun, CoreError> {
+        let stream = split_seed(self.stream_salt, slot);
+        let mut redraw_rng: Option<StdRng> = None;
+        let mut current = primary.clone();
+        let mut out = SlotOutcome {
+            measured: None,
+            attempts: 0,
+            retries: 0,
+            redrawn: 0,
+        };
+        let mut last_err = None;
+        // Consumed by the first iteration (draw 0, attempt 0) — the
+        // attempt the prefetch covered.
+        let mut prefetched = Some(first);
+        for draw in 0..self.draw_cap {
+            for attempt in 0..=self.max_retries {
+                out.attempts += 1;
+                let key = (draw * (self.max_retries + 1) + attempt) as u32;
+                let outcome = match prefetched.take() {
+                    Some(r) => r,
+                    None => model.try_evaluate_at(&current, stream, key),
+                };
+                match outcome {
+                    Ok(v) => {
+                        out.retries += attempt;
+                        out.measured = Some((current, v));
+                        return Ok((out, None));
+                    }
+                    Err(e) => last_err = Some(e),
+                }
+            }
+            out.redrawn += 1;
+            if draw + 1 < self.draw_cap {
+                let r = redraw_rng.get_or_insert_with(|| {
+                    StdRng::seed_from_u64(split_seed(self.redraw_salt, slot))
+                });
+                current = random_assignment(model.tasks(), model.topology(), r)?;
             }
         }
-        out.redrawn += 1;
-        if draw + 1 < draw_cap {
-            let r = redraw_rng.get_or_insert_with(|| {
-                StdRng::seed_from_u64(split_seed(batch_salt ^ BATCH_REDRAW_SALT, slot as u64))
-            });
-            current = random_assignment(model.tasks(), model.topology(), r)?;
+        Ok((out, last_err))
+    }
+}
+
+/// Resolves one slot without measuring it, in a fixed order: the store's
+/// journal record for `(campaign, sequence, slot)` (a replay, with its
+/// journaled bookkeeping), then the store's evaluation cache, then
+/// `peers`. A cache or peer hit consumes zero attempts and never touches
+/// the slot's fault stream. `None` means the slot must be measured.
+///
+/// Every lookup precedes every insert (the cache grows only at
+/// `end_batch`), so what a slot sees never depends on worker scheduling.
+fn resolve_slot(
+    store: &CampaignStore,
+    (campaign, sequence): (u64, u64),
+    slot: u64,
+    primary: &Assignment,
+    topology: Topology,
+    peers: &dyn PeerCache,
+) -> Option<(SlotOutcome, LeaseResolution)> {
+    let journaled = store.lookup_slot(campaign, sequence, slot).and_then(|rec| {
+        persist::assignment_from_record(&rec, topology).map(|a| SlotOutcome {
+            measured: Some((a, rec.value)),
+            attempts: rec.attempts as usize,
+            retries: rec.retries as usize,
+            redrawn: rec.redrawn as usize,
+        })
+    });
+    if let Some(outcome) = journaled {
+        return Some((outcome, LeaseResolution::Replayed));
+    }
+    let key = primary.canonical_hash();
+    let (value, how) = match store.cache_lookup(key) {
+        Some(v) => (v, LeaseResolution::CacheHit),
+        None => (peers.lookup(key)?, LeaseResolution::PeerHit),
+    };
+    Some((
+        SlotOutcome {
+            measured: Some((primary.clone(), value)),
+            attempts: 0,
+            retries: 0,
+            redrawn: 0,
+        },
+        how,
+    ))
+}
+
+/// Journals each freshly resolved, measured slot in order, then the batch
+/// marker at `width`. Replays must not be passed in (they are never
+/// re-journaled); abandoned slots (no measurement) are skipped and
+/// re-measure deterministically on resume or re-lease.
+fn journal_slots<'a>(
+    store: &CampaignStore,
+    (campaign, sequence): (u64, u64),
+    width: u64,
+    fresh: impl IntoIterator<Item = (u64, &'a SlotOutcome)>,
+) {
+    for (slot, outcome) in fresh {
+        if let Some((a, v)) = &outcome.measured {
+            store.append_measurement(&persist::slot_record(
+                campaign,
+                sequence,
+                slot as usize,
+                a,
+                *v,
+                outcome.attempts,
+                outcome.retries,
+                outcome.redrawn,
+            ));
         }
     }
-    Ok(out)
+    store.end_batch(campaign, sequence, width);
+}
+
+/// Measures a batch of `primaries` (slot `i` is `primaries[i]`) on this
+/// node: with a store, slots resolve through [`resolve_slot`] first;
+/// the rest run the ladder in batched chunks at `parallelism`, each fresh
+/// outcome passes through `finish` (which may turn an abandoned slot
+/// into an error), and the fresh measured slots are journaled with the
+/// batch marker at full width.
+///
+/// # Errors
+///
+/// The error of the smallest failing slot, from the ladder or `finish`;
+/// nothing of the batch is journaled then.
+pub(crate) fn measure_slots<M: PerformanceModel + Sync>(
+    model: &M,
+    parallelism: Parallelism,
+    obs: &Obs,
+    ladder: &SlotLadder,
+    primaries: &[Assignment],
+    persist: Option<(&CampaignStore, (u64, u64))>,
+    finish: impl Fn(u64, LadderRun) -> Result<SlotOutcome, CoreError> + Sync,
+) -> Result<Vec<SlotOutcome>, CoreError> {
+    let mut replayed = vec![false; primaries.len()];
+    let resolved: Vec<Option<SlotOutcome>> = match persist {
+        None => vec![None; primaries.len()],
+        Some((store, batch)) => primaries
+            .iter()
+            .enumerate()
+            .map(|(i, primary)| {
+                let (outcome, how) =
+                    resolve_slot(store, batch, i as u64, primary, model.topology(), &NoPeers)?;
+                replayed[i] = how == LeaseResolution::Replayed;
+                Some(outcome)
+            })
+            .collect(),
+    };
+    let slots = try_parallel_map_batched(parallelism, resolved, obs, |idxs| {
+        ladder
+            .measure_chunk(model, idxs, |i| (i as u64, &primaries[i]))
+            .into_iter()
+            .zip(idxs)
+            .map(|(run, &i)| finish(i as u64, run?))
+            .collect()
+    })?;
+    if let Some((store, batch)) = persist {
+        let fresh = slots
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !replayed[i])
+            .map(|(i, slot)| (i as u64, slot));
+        journal_slots(store, batch, primaries.len() as u64, fresh);
+    }
+    Ok(slots)
 }
 
 /// The in-process [`BatchBackend`]: slots evaluate against a model on
-/// this node's threads, optionally journaling through a campaign store
-/// — verbatim the pre-fabric measurement path.
+/// this node's threads, optionally journaling through a campaign store.
 struct LocalBackend<'a, M> {
     model: &'a M,
     parallelism: Parallelism,
@@ -418,138 +585,26 @@ impl<M: PerformanceModel + Sync> BatchBackend for LocalBackend<'_, M> {
         request: &BatchRequest<'_>,
         obs: &Obs,
     ) -> Result<Vec<SlotOutcome>, CoreError> {
-        let model = self.model;
-        let parallelism = self.parallelism;
-        let primaries = request.primaries;
-        let want = primaries.len();
-        let batch_salt = request.batch_salt;
-        let max_retries = request.max_retries;
-        let draw_cap = request.draw_cap;
-        // Batched hot path: prefetch every chunk slot's first attempt
-        // through the model's keyed batch entry point, then finish each
-        // slot's retry/redraw ladder on the scalar keyed path (see
-        // `SampleStudy::run_resilient_*` for the identical pattern).
-        let measure_chunk = |idxs: &[usize]| -> Vec<Result<SlotOutcome, CoreError>> {
-            let chunk: Vec<Assignment> = idxs.iter().map(|&i| primaries[i].clone()).collect();
-            let keys: Vec<(u64, u32)> = idxs
-                .iter()
-                .map(|&i| (split_seed(batch_salt, i as u64), 0))
-                .collect();
-            let first = model.try_evaluate_batch_at(&chunk, &keys);
-            idxs.iter()
-                .zip(first)
-                .map(|(&i, f)| {
-                    measure_batch_slot(
-                        model,
-                        &primaries[i],
-                        batch_salt,
-                        i,
-                        max_retries,
-                        draw_cap,
-                        Some(f),
-                    )
-                })
-                .collect()
+        let ladder = SlotLadder {
+            stream_salt: request.batch_salt,
+            redraw_salt: request.batch_salt ^ BATCH_REDRAW_SALT,
+            max_retries: request.max_retries,
+            draw_cap: request.draw_cap,
         };
-        match self.persist {
-            None => {
-                if parallelism.batch == 0 {
-                    try_parallel_map_obs(parallelism, want, obs, |i| {
-                        measure_batch_slot(
-                            model,
-                            &primaries[i],
-                            batch_salt,
-                            i,
-                            max_retries,
-                            draw_cap,
-                            None,
-                        )
-                    })
-                } else {
-                    let fresh: Vec<Option<SlotOutcome>> = (0..want).map(|_| None).collect();
-                    try_parallel_map_batched(parallelism, fresh, obs, measure_chunk)
-                }
-            }
-            Some((store, campaign)) => {
-                let sequence = request.sequence;
-                // Resolve before the parallel region: journal replay
-                // first, then the evaluation cache. Cache entries become
-                // visible only at batch boundaries (end_batch), so what
-                // a slot sees is independent of worker scheduling.
-                let mut replayed = vec![false; want];
-                let mut resolved: Vec<Option<SlotOutcome>> = Vec::with_capacity(want);
-                for (i, primary) in primaries.iter().enumerate() {
-                    let journaled =
-                        store
-                            .lookup_slot(campaign, sequence, i as u64)
-                            .and_then(|rec| {
-                                persist::assignment_from_record(&rec, model.topology()).map(|a| {
-                                    SlotOutcome {
-                                        measured: Some((a, rec.value)),
-                                        attempts: rec.attempts as usize,
-                                        retries: rec.retries as usize,
-                                        redrawn: rec.redrawn as usize,
-                                    }
-                                })
-                            });
-                    if journaled.is_some() {
-                        replayed[i] = true;
-                        resolved.push(journaled);
-                    } else if let Some(v) = store.cache_lookup(primary.canonical_hash()) {
-                        // Cache hit: value known, zero attempts consumed,
-                        // fault stream never touched.
-                        resolved.push(Some(SlotOutcome {
-                            measured: Some((primary.clone(), v)),
-                            attempts: 0,
-                            retries: 0,
-                            redrawn: 0,
-                        }));
-                    } else {
-                        resolved.push(None);
-                    }
-                }
-                let slots = if parallelism.batch == 0 {
-                    try_parallel_map_cached(parallelism, resolved, obs, |i| {
-                        measure_batch_slot(
-                            model,
-                            &primaries[i],
-                            batch_salt,
-                            i,
-                            max_retries,
-                            draw_cap,
-                            None,
-                        )
-                    })?
-                } else {
-                    try_parallel_map_batched(parallelism, resolved, obs, measure_chunk)?
-                };
-                // Journal every freshly resolved, measured slot —
-                // including ones the budget reduction may truncate;
-                // replaying a truncated slot re-applies the same
-                // reduction. Abandoned slots (no measurement) are not
-                // journaled: they re-measure deterministically on
-                // resume.
-                for (i, slot) in slots.iter().enumerate() {
-                    if replayed[i] {
-                        continue;
-                    }
-                    if let Some((a, v)) = &slot.measured {
-                        store.append_measurement(&persist::slot_record(
-                            campaign,
-                            sequence,
-                            i,
-                            a,
-                            *v,
-                            slot.attempts,
-                            slot.retries,
-                            slot.redrawn,
-                        ));
-                    }
-                }
-                store.end_batch(campaign, sequence, want as u64);
-                Ok(slots)
-            }
-        }
+        // An abandoned slot is an outcome here, not an error: the
+        // session's budget reduction decides what it costs. Slots that
+        // reduction may truncate are journaled too; replaying one
+        // re-applies the same reduction.
+        measure_slots(
+            self.model,
+            self.parallelism,
+            obs,
+            &ladder,
+            request.primaries,
+            self.persist
+                .map(|(store, campaign)| (store, (campaign, request.sequence))),
+            |_, (outcome, _)| Ok(outcome),
+        )
     }
 }
 
@@ -725,26 +780,6 @@ pub struct LeaseOutcome {
     pub resolution: LeaseResolution,
 }
 
-/// Measures a leased subset of one batch's slots on this node — the
-/// fleet worker's entry into the persistent measurement path.
-///
-/// Each slot resolves in a fixed ladder: this worker's own journal
-/// (replay, nothing re-journaled), its evaluation cache, the federated
-/// peer caches, and only then the model via the same keyed retry/redraw
-/// ladder the in-process batch path uses. Freshly measured slots are
-/// journaled in lease order through the store (identical records to a
-/// single-node run of the same batch), followed by the batch marker at
-/// the *full* batch width, so independently leased shards of one batch
-/// merge into exactly the single-node journal.
-///
-/// Metrics: `fleet_slot_evals_total` counts slots that reached the
-/// model, `fleet_peer_hits_total` peer-cache resolutions,
-/// `fleet_replayed_total` journal replays.
-///
-/// # Errors
-///
-/// As [`run_iterative`] for measurement failures; store I/O failures
-/// are counted on the store handle, never raised.
 /// [`measure_leased_slots`] under a remote trace parent: the whole lease
 /// measurement is journaled as a `fleet_lease_measure_ns` span whose
 /// parent is `remote_parent` — the worker-side server span of the
@@ -784,6 +819,26 @@ pub fn measure_leased_slots_traced<M: PerformanceModel + Sync>(
     Ok(outcomes)
 }
 
+/// Measures a leased subset of one batch's slots on this node — the
+/// fleet worker's entry into the persistent measurement path.
+///
+/// Each slot resolves in a fixed ladder: this worker's own journal
+/// (replay, nothing re-journaled), its evaluation cache, the federated
+/// peer caches, and only then the model via the same keyed retry/redraw
+/// ladder the in-process batch path uses. Freshly measured slots are
+/// journaled in lease order through the store (identical records to a
+/// single-node run of the same batch), followed by the batch marker at
+/// the *full* batch width, so independently leased shards of one batch
+/// merge into exactly the single-node journal.
+///
+/// Metrics: `fleet_slot_evals_total` counts slots that reached the
+/// model, `fleet_peer_hits_total` peer-cache resolutions,
+/// `fleet_replayed_total` journal replays.
+///
+/// # Errors
+///
+/// As [`run_iterative`] for measurement failures; store I/O failures
+/// are counted on the store handle, never raised.
 pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     model: &M,
     lease: &LeaseRequest,
@@ -792,133 +847,76 @@ pub fn measure_leased_slots<M: PerformanceModel + Sync>(
     parallelism: Parallelism,
     obs: &Obs,
 ) -> Result<Vec<LeaseOutcome>, CoreError> {
-    let n = lease.slots.len();
-    let mut resolutions = vec![LeaseResolution::Evaluated; n];
-    let mut replayed = vec![false; n];
-    let mut resolved: Vec<Option<SlotOutcome>> = Vec::with_capacity(n);
-    for (i, leased) in lease.slots.iter().enumerate() {
-        let journaled = store
-            .lookup_slot(lease.campaign, lease.sequence, leased.slot)
-            .and_then(|rec| {
-                persist::assignment_from_record(&rec, model.topology()).map(|a| SlotOutcome {
-                    measured: Some((a, rec.value)),
-                    attempts: rec.attempts as usize,
-                    retries: rec.retries as usize,
-                    redrawn: rec.redrawn as usize,
-                })
-            });
-        if journaled.is_some() {
-            replayed[i] = true;
-            resolutions[i] = LeaseResolution::Replayed;
-            resolved.push(journaled);
-            continue;
-        }
-        let key = leased.primary.canonical_hash();
-        if let Some(v) = store.cache_lookup(key) {
-            resolutions[i] = LeaseResolution::CacheHit;
-            resolved.push(Some(SlotOutcome {
-                measured: Some((leased.primary.clone(), v)),
-                attempts: 0,
-                retries: 0,
-                redrawn: 0,
-            }));
-        } else if let Some(v) = peers.lookup(key) {
-            resolutions[i] = LeaseResolution::PeerHit;
-            resolved.push(Some(SlotOutcome {
-                measured: Some((leased.primary.clone(), v)),
-                attempts: 0,
-                retries: 0,
-                redrawn: 0,
-            }));
-        } else {
-            resolved.push(None);
-        }
-    }
-    let evals = resolved.iter().filter(|s| s.is_none()).count() as u64;
-    obs.counter_add(optassign_obs::fleet_counters::SLOT_EVALS, evals);
+    let batch = (lease.campaign, lease.sequence);
+    let (resolved, mut resolutions): (Vec<Option<SlotOutcome>>, Vec<LeaseResolution>) = lease
+        .slots
+        .iter()
+        .map(|leased| {
+            match resolve_slot(
+                store,
+                batch,
+                leased.slot,
+                &leased.primary,
+                model.topology(),
+                peers,
+            ) {
+                Some((outcome, how)) => (Some(outcome), how),
+                None => (None, LeaseResolution::Evaluated),
+            }
+        })
+        .unzip();
+    let count = |how: LeaseResolution| resolutions.iter().filter(|&&r| r == how).count() as u64;
+    obs.counter_add(
+        optassign_obs::fleet_counters::SLOT_EVALS,
+        count(LeaseResolution::Evaluated),
+    );
     obs.counter_add(
         optassign_obs::fleet_counters::PEER_HITS,
-        resolutions
-            .iter()
-            .filter(|r| **r == LeaseResolution::PeerHit)
-            .count() as u64,
+        count(LeaseResolution::PeerHit),
     );
     obs.counter_add(
         optassign_obs::fleet_counters::REPLAYED,
-        replayed.iter().filter(|r| **r).count() as u64,
+        count(LeaseResolution::Replayed),
     );
 
-    let measure_chunk = |idxs: &[usize]| -> Vec<Result<SlotOutcome, CoreError>> {
-        let chunk: Vec<Assignment> = idxs
-            .iter()
-            .map(|&i| lease.slots[i].primary.clone())
-            .collect();
-        let keys: Vec<(u64, u32)> = idxs
-            .iter()
-            .map(|&i| (split_seed(lease.batch_salt, lease.slots[i].slot), 0))
-            .collect();
-        let first = model.try_evaluate_batch_at(&chunk, &keys);
-        idxs.iter()
-            .zip(first)
-            .map(|(&i, f)| {
-                measure_batch_slot(
-                    model,
-                    &lease.slots[i].primary,
-                    lease.batch_salt,
-                    lease.slots[i].slot as usize,
-                    lease.max_retries,
-                    lease.draw_cap,
-                    Some(f),
-                )
+    let ladder = SlotLadder {
+        stream_salt: lease.batch_salt,
+        redraw_salt: lease.batch_salt ^ BATCH_REDRAW_SALT,
+        max_retries: lease.max_retries,
+        draw_cap: lease.draw_cap,
+    };
+    let outcomes = try_parallel_map_batched(parallelism, resolved, obs, |idxs| {
+        ladder
+            .measure_chunk(model, idxs, |i| {
+                (lease.slots[i].slot, &lease.slots[i].primary)
             })
+            .into_iter()
+            .map(|run| run.map(|(outcome, _)| outcome))
             .collect()
-    };
-    let outcomes = if parallelism.batch == 0 {
-        try_parallel_map_cached(parallelism, resolved, obs, |i| {
-            measure_batch_slot(
-                model,
-                &lease.slots[i].primary,
-                lease.batch_salt,
-                lease.slots[i].slot as usize,
-                lease.max_retries,
-                lease.draw_cap,
-                None,
-            )
-        })?
-    } else {
-        try_parallel_map_batched(parallelism, resolved, obs, measure_chunk)?
-    };
+    })?;
 
     // Journal freshly measured slots in lease order, then the batch
-    // marker at full width; replays are never re-journaled, and
-    // abandoned slots re-measure deterministically if re-leased.
-    for (i, slot) in outcomes.iter().enumerate() {
-        if replayed[i] {
-            continue;
-        }
-        match &slot.measured {
-            Some((a, v)) => {
-                store.append_measurement(&persist::slot_record(
-                    lease.campaign,
-                    lease.sequence,
-                    lease.slots[i].slot as usize,
-                    a,
-                    *v,
-                    slot.attempts,
-                    slot.retries,
-                    slot.redrawn,
-                ));
-            }
-            None => resolutions[i] = LeaseResolution::Abandoned,
+    // marker at full width; abandoned slots re-measure deterministically
+    // if re-leased.
+    for (how, outcome) in resolutions.iter_mut().zip(&outcomes) {
+        if outcome.measured.is_none() {
+            *how = LeaseResolution::Abandoned;
         }
     }
-    store.end_batch(lease.campaign, lease.sequence, lease.want);
+    let fresh = lease
+        .slots
+        .iter()
+        .zip(&outcomes)
+        .zip(&resolutions)
+        .filter(|&(_, &how)| how != LeaseResolution::Replayed)
+        .map(|((leased, outcome), _)| (leased.slot, outcome));
+    journal_slots(store, batch, lease.want, fresh);
     Ok(outcomes
         .into_iter()
         .zip(resolutions)
-        .enumerate()
-        .map(|(i, (outcome, resolution))| LeaseOutcome {
-            slot: lease.slots[i].slot,
+        .zip(&lease.slots)
+        .map(|((outcome, resolution), leased)| LeaseOutcome {
+            slot: leased.slot,
             outcome,
             resolution,
         })

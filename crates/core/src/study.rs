@@ -8,21 +8,20 @@
 //! re-measuring.
 
 use crate::assignment::Assignment;
+use crate::iterative::{measure_slots, SlotLadder};
 use crate::model::{MeasureError, PerformanceModel};
 use crate::persist;
-use crate::sampling::{random_assignment, sample_assignments};
+use crate::sampling::sample_assignments;
 use crate::CoreError;
 use optassign_evt::pot::{PotAnalysis, PotConfig};
 use optassign_evt::resilient::{
     estimate_resilient, estimate_resilient_obs, EstimateReport, ResilientConfig,
 };
-use optassign_exec::{
-    parallel_map_batched, parallel_map_cached, parallel_map_obs, split_seed,
-    try_parallel_map_batched, try_parallel_map_cached, try_parallel_map_obs, Parallelism,
-};
+use optassign_exec::{try_parallel_map_batched, Parallelism};
 use optassign_obs::{Event, Obs};
 use optassign_stats::rng::StdRng;
 use optassign_store::CampaignStore;
+use std::convert::Infallible;
 
 /// Salt separating a slot's measurement stream from every other use of
 /// the campaign seed.
@@ -109,7 +108,7 @@ impl SampleStudy {
 
     /// [`SampleStudy::run_with`] with observability: the measurement
     /// fan-out reports per-task latency and worker utilization through
-    /// `obs` (see [`optassign_exec::parallel_map_obs`]), the campaign is
+    /// `obs` (see [`optassign_exec::try_parallel_map_batched`]), the campaign is
     /// bracketed by `study_start`/`study_done` events, and the total
     /// measurement count lands in `study_measurements_total`. Results
     /// are bit-identical to the unobserved run.
@@ -199,78 +198,65 @@ impl SampleStudy {
         });
         let mut rng = StdRng::seed_from_u64(seed);
         let assignments = sample_assignments(n, model.tasks(), model.topology(), &mut rng)?;
-        // Batched hot path: hand the engine ascending runs of slot
-        // indices so the model can amortize per-evaluation setup. The
-        // model's `evaluate_batch` contract (bit-identical to the scalar
-        // loop) plus the engine's order-fixed scatter make this
-        // invisible to every downstream bit; `batch == 0` keeps the
-        // legacy per-item path.
-        let evaluate_chunk = |idxs: &[usize]| -> Vec<f64> {
+        let persist = persist.map(|store| {
+            let campaign = persist::study_campaign_id(seed, n, model.tasks(), model.topology());
+            (store, campaign)
+        });
+        // Resolve every slot before the parallel region: journal replay
+        // first, then the evaluation cache. All lookups precede all
+        // inserts (which happen at end_batch), so what a slot can see
+        // never depends on scheduling.
+        let mut replayed = vec![false; n];
+        let mut cache_hit = vec![false; n];
+        let mut resolved: Vec<Option<f64>> = vec![None; n];
+        if let Some((store, campaign)) = persist {
+            for (i, assignment) in assignments.iter().enumerate() {
+                if let Some(rec) = store.lookup_slot(campaign, 0, i as u64) {
+                    resolved[i] = Some(rec.value);
+                    replayed[i] = true;
+                } else if let Some(v) = store.cache_lookup(assignment.canonical_hash()) {
+                    resolved[i] = Some(v);
+                    cache_hit[i] = true;
+                }
+            }
+        }
+        // The engine hands the model ascending runs of slot indices so
+        // it can amortize per-evaluation setup; the model's
+        // `evaluate_batch` contract (bit-identical to the scalar loop)
+        // plus the engine's order-fixed scatter make this invisible to
+        // every downstream bit.
+        let measured = try_parallel_map_batched(parallelism, resolved, obs, |idxs| {
             let chunk: Vec<Assignment> = idxs.iter().map(|&i| assignments[i].clone()).collect();
-            model.evaluate_batch(&chunk)
+            model
+                .evaluate_batch(&chunk)
+                .into_iter()
+                .map(Ok::<f64, Infallible>)
+                .collect()
+        });
+        let performances = match measured {
+            Ok(performances) => performances,
+            Err(never) => match never {},
         };
-        let performances = match persist {
-            None => {
-                if parallelism.batch == 0 {
-                    parallel_map_obs(parallelism, assignments.len(), obs, |i| {
-                        model.evaluate(&assignments[i])
-                    })
-                } else {
-                    parallel_map_batched(
-                        parallelism,
-                        vec![None; assignments.len()],
-                        obs,
-                        evaluate_chunk,
-                    )
+        if let Some((store, campaign)) = persist {
+            for (i, assignment) in assignments.iter().enumerate() {
+                if replayed[i] {
+                    continue;
                 }
+                // A cache hit consumed no measurement attempt.
+                let attempts = usize::from(!cache_hit[i]);
+                store.append_measurement(&persist::slot_record(
+                    campaign,
+                    0,
+                    i,
+                    assignment,
+                    performances[i],
+                    attempts,
+                    0,
+                    0,
+                ));
             }
-            Some(store) => {
-                let campaign = persist::study_campaign_id(seed, n, model.tasks(), model.topology());
-                // Resolve every slot before the parallel region: journal
-                // replay first, then the evaluation cache. All lookups
-                // precede all inserts (which happen at end_batch), so
-                // what a slot can see never depends on scheduling.
-                let keys: Vec<u64> = assignments.iter().map(Assignment::canonical_hash).collect();
-                let mut replayed = vec![false; assignments.len()];
-                let mut cache_hit = vec![false; assignments.len()];
-                let mut resolved: Vec<Option<f64>> = vec![None; assignments.len()];
-                for i in 0..assignments.len() {
-                    if let Some(rec) = store.lookup_slot(campaign, 0, i as u64) {
-                        resolved[i] = Some(rec.value);
-                        replayed[i] = true;
-                    } else if let Some(v) = store.cache_lookup(keys[i]) {
-                        resolved[i] = Some(v);
-                        cache_hit[i] = true;
-                    }
-                }
-                let performances = if parallelism.batch == 0 {
-                    parallel_map_cached(parallelism, resolved, obs, |i| {
-                        model.evaluate(&assignments[i])
-                    })
-                } else {
-                    parallel_map_batched(parallelism, resolved, obs, evaluate_chunk)
-                };
-                for (i, assignment) in assignments.iter().enumerate() {
-                    if replayed[i] {
-                        continue;
-                    }
-                    // A cache hit consumed no measurement attempt.
-                    let attempts = usize::from(!cache_hit[i]);
-                    store.append_measurement(&persist::slot_record(
-                        campaign,
-                        0,
-                        i,
-                        assignment,
-                        performances[i],
-                        attempts,
-                        0,
-                        0,
-                    ));
-                }
-                store.end_batch(campaign, 0, assignments.len() as u64);
-                performances
-            }
-        };
+            store.end_batch(campaign, 0, n as u64);
+        }
         obs.counter_add("study_measurements_total", performances.len() as u64);
         let study = SampleStudy {
             assignments,
@@ -438,110 +424,39 @@ impl SampleStudy {
         // 4·n·(1+max_retries) attempts, floored at 64 campaign-wide.
         let per_slot_attempts = n.max(1) * (1 + max_retries);
         let draw_cap = 4usize.max(64usize.div_ceil(per_slot_attempts));
-        // Batched hot path: the first attempt of every slot in a chunk
-        // is prefetched through the model's keyed batch entry point
-        // (amortizing per-evaluation setup), then each slot finishes its
-        // retry/redraw ladder on the scalar keyed path. The keyed
-        // contract makes the prefetch invisible: `(stream, attempt)`
-        // addresses the same outcome either way.
-        let measure_chunk = |idxs: &[usize]| -> Vec<Result<MeasuredSlot, CoreError>> {
-            let chunk: Vec<Assignment> = idxs.iter().map(|&i| primaries[i].clone()).collect();
-            let keys: Vec<(u64, u32)> = idxs
-                .iter()
-                .map(|&i| (split_seed(seed ^ MEASURE_SALT, i as u64), 0))
-                .collect();
-            let first = model.try_evaluate_batch_at(&chunk, &keys);
-            idxs.iter()
-                .zip(first)
-                .map(|(&i, f)| {
-                    measure_slot(
-                        model,
-                        &primaries[i],
-                        seed,
-                        i,
-                        max_retries,
-                        draw_cap,
-                        Some(f),
-                    )
-                })
-                .collect()
+        let ladder = SlotLadder {
+            stream_salt: seed ^ MEASURE_SALT,
+            redraw_salt: seed ^ REDRAW_SALT,
+            max_retries,
+            draw_cap,
         };
-        let slots = match persist {
-            None => {
-                if parallelism.batch == 0 {
-                    try_parallel_map_obs(parallelism, n, obs, |i| {
-                        measure_slot(model, &primaries[i], seed, i, max_retries, draw_cap, None)
-                    })?
-                } else {
-                    let fresh: Vec<Option<MeasuredSlot>> = (0..n).map(|_| None).collect();
-                    try_parallel_map_batched(parallelism, fresh, obs, measure_chunk)?
-                }
-            }
-            Some(store) => {
-                let campaign = persist::resilient_campaign_id(
-                    seed,
-                    n,
-                    max_retries,
-                    model.tasks(),
-                    model.topology(),
-                );
-                let mut replayed = vec![false; n];
-                let mut resolved: Vec<Option<MeasuredSlot>> = Vec::with_capacity(n);
-                for (i, primary) in primaries.iter().enumerate() {
-                    let journaled = store.lookup_slot(campaign, 0, i as u64).and_then(|rec| {
-                        persist::assignment_from_record(&rec, model.topology()).map(|a| {
-                            MeasuredSlot {
-                                assignment: a,
-                                value: rec.value,
-                                attempts: rec.attempts as usize,
-                                retries: rec.retries as usize,
-                                redrawn: rec.redrawn as usize,
-                            }
-                        })
-                    });
-                    if journaled.is_some() {
-                        replayed[i] = true;
-                        resolved.push(journaled);
-                    } else if let Some(v) = store.cache_lookup(primary.canonical_hash()) {
-                        // Cache hit: the value is known, no attempt is
-                        // consumed and the fault stream is never touched.
-                        resolved.push(Some(MeasuredSlot {
-                            assignment: primary.clone(),
-                            value: v,
-                            attempts: 0,
-                            retries: 0,
-                            redrawn: 0,
-                        }));
-                    } else {
-                        resolved.push(None);
-                    }
-                }
-                let slots = if parallelism.batch == 0 {
-                    try_parallel_map_cached(parallelism, resolved, obs, |i| {
-                        measure_slot(model, &primaries[i], seed, i, max_retries, draw_cap, None)
-                    })?
-                } else {
-                    try_parallel_map_batched(parallelism, resolved, obs, measure_chunk)?
-                };
-                for (i, slot) in slots.iter().enumerate() {
-                    if replayed[i] {
-                        continue;
-                    }
-                    store.append_measurement(&persist::slot_record(
-                        campaign,
-                        0,
-                        i,
-                        &slot.assignment,
-                        slot.value,
-                        slot.attempts,
-                        slot.retries,
-                        slot.redrawn,
-                    ));
-                }
-                store.end_batch(campaign, 0, n as u64);
-                slots
-            }
-        };
+        let persist = persist.map(|store| {
+            let campaign = persist::resilient_campaign_id(
+                seed,
+                n,
+                max_retries,
+                model.tasks(),
+                model.topology(),
+            );
+            (store, (campaign, 0))
+        });
+        // A slot that exhausts every draw fails the whole study.
+        let slots = measure_slots(
+            model,
+            parallelism,
+            obs,
+            &ladder,
+            &primaries,
+            persist,
+            |slot, run| match run {
+                (outcome, None) => Ok(outcome),
+                (_, Some(last_err)) => Err(CoreError::Measurement(MeasureError::Failed(format!(
+                    "slot {slot}: budget of {draw_cap} draws × {} attempts exhausted; \
+                     last error: {last_err}",
+                    max_retries + 1
+                )))),
+            },
+        )?;
 
         let mut log = MeasurementLog::default();
         let mut assignments = Vec::with_capacity(n);
@@ -550,8 +465,11 @@ impl SampleStudy {
             log.attempts += slot.attempts;
             log.retries += slot.retries;
             log.redrawn += slot.redrawn;
-            assignments.push(slot.assignment);
-            performances.push(slot.value);
+            // `measure_slots` failed the study on any abandoned slot.
+            if let Some((assignment, value)) = slot.measured {
+                assignments.push(assignment);
+                performances.push(value);
+            }
         }
         let study = match SampleStudy::from_measurements(assignments, performances) {
             Ok(study) => study,
@@ -761,82 +679,6 @@ impl SampleStudy {
     pub fn improvement_headroom(&self, config: &PotConfig) -> Result<f64, CoreError> {
         Ok(self.estimate_optimal(config)?.improvement_headroom())
     }
-}
-
-/// One completed measurement slot of a resilient campaign.
-struct MeasuredSlot {
-    assignment: Assignment,
-    value: f64,
-    attempts: usize,
-    retries: usize,
-    redrawn: usize,
-}
-
-/// Measures one slot of a resilient campaign: the primary assignment
-/// gets `1 + max_retries` attempts; an exhausted assignment is replaced
-/// from the slot's private redraw stream, up to `draw_cap` draws.
-/// Everything the slot does is keyed by `(seed, slot)` — independent of
-/// every other slot and of scheduling order.
-///
-/// `first`, when supplied, is the already-computed outcome of the
-/// slot's very first attempt (key 0 on the primary assignment) — the
-/// batched runners prefetch it through
-/// [`PerformanceModel::try_evaluate_batch_at`]. Because that attempt is
-/// keyed, the supplied value is exactly what the call here would have
-/// produced, and the bookkeeping (attempt counts, error selection) is
-/// unchanged.
-fn measure_slot<M: PerformanceModel>(
-    model: &M,
-    primary: &Assignment,
-    seed: u64,
-    slot: usize,
-    max_retries: usize,
-    draw_cap: usize,
-    first: Option<Result<f64, MeasureError>>,
-) -> Result<MeasuredSlot, CoreError> {
-    let stream = split_seed(seed ^ MEASURE_SALT, slot as u64);
-    let mut redraw_rng: Option<StdRng> = None;
-    let mut current = primary.clone();
-    let mut attempts = 0usize;
-    let mut retries = 0usize;
-    let mut last_err = MeasureError::Failed("no measurement attempted".into());
-    // Consumed by the first loop iteration (draw 0, attempt 0), which is
-    // precisely the attempt the prefetch covered.
-    let mut prefetched = first;
-    for draw in 0..draw_cap {
-        for attempt in 0..=max_retries {
-            attempts += 1;
-            let key = (draw * (max_retries + 1) + attempt) as u32;
-            let outcome = match prefetched.take() {
-                Some(r) => r,
-                None => model.try_evaluate_at(&current, stream, key),
-            };
-            match outcome {
-                Ok(v) => {
-                    retries += attempt;
-                    return Ok(MeasuredSlot {
-                        assignment: current,
-                        value: v,
-                        attempts,
-                        retries,
-                        // Every earlier draw was abandoned and redrawn.
-                        redrawn: draw,
-                    });
-                }
-                Err(e) => last_err = e,
-            }
-        }
-        if draw + 1 < draw_cap {
-            let r = redraw_rng.get_or_insert_with(|| {
-                StdRng::seed_from_u64(split_seed(seed ^ REDRAW_SALT, slot as u64))
-            });
-            current = random_assignment(model.tasks(), model.topology(), r)?;
-        }
-    }
-    Err(CoreError::Measurement(MeasureError::Failed(format!(
-        "slot {slot}: budget of {draw_cap} draws × {} attempts exhausted; last error: {last_err}",
-        max_retries + 1
-    ))))
 }
 
 #[cfg(test)]

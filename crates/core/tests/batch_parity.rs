@@ -174,11 +174,18 @@ fn keyed_try_batch_matches_scalar_with_injected_faults() {
 
 #[test]
 fn studies_are_bit_identical_at_every_batch_size_and_worker_count() {
-    // End to end: the plain and resilient studies, scalar path (batch 0)
-    // versus every batch size, at 1 and 4 workers.
+    // End to end: the plain and resilient studies, serial with one slot
+    // per batch versus every batch size, at 1 and 4 workers. The plain
+    // reference is itself checked against per-item `evaluate`.
     let model = SyntheticModel::new(Topology::ultrasparc_t2(), 7, 1.2e6);
     let scalar =
-        SampleStudy::run_with(&model, 90, 19, Parallelism::serial().with_batch(0)).unwrap();
+        SampleStudy::run_with(&model, 90, 19, Parallelism::serial().with_batch(1)).unwrap();
+    let per_item: Vec<f64> = scalar
+        .assignments()
+        .iter()
+        .map(|a| model.evaluate(a))
+        .collect();
+    assert_eq!(scalar.performances(), &per_item[..]);
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = Parallelism::new(workers).with_batch(batch);
@@ -199,7 +206,7 @@ fn studies_are_bit_identical_at_every_batch_size_and_worker_count() {
         )
     };
     let (scalar_study, scalar_log) =
-        SampleStudy::run_resilient_with(&build(), 90, 23, 3, Parallelism::serial().with_batch(0))
+        SampleStudy::run_resilient_with(&build(), 90, 23, 3, Parallelism::serial().with_batch(1))
             .unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {

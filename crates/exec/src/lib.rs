@@ -18,8 +18,8 @@
 //!    slot for its index; nothing is appended in completion order.
 //! 3. **Order-fixed reduction** — results (and errors) are folded in
 //!    index order after the parallel region, never as workers finish.
-//!    [`try_parallel_map`] always reports the error of the *smallest*
-//!    failing index.
+//!    [`try_parallel_map_batched`] always reports the error of the
+//!    *smallest* failing index.
 //!
 //! The engine is dependency-free beyond the workspace's observability
 //! crate (`std::thread::scope` only) and the `workers == 1` path is a
@@ -27,9 +27,9 @@
 //!
 //! ## Observability
 //!
-//! [`parallel_map_obs`] and [`try_parallel_map_obs`] accept an
-//! [`Obs`] handle and report per-task latency, queue occupancy, and
-//! worker utilization. Instrumentation follows the crate's own rules:
+//! [`try_parallel_map_batched`] accepts an [`Obs`] handle and reports
+//! per-task latency, queue occupancy, worker utilization, and cache
+//! hits and misses. Instrumentation follows the crate's own rules:
 //! each worker accumulates into a thread-local
 //! [`MetricsRegistry`] (integer-valued, so totals are exact and
 //! commutative) and the locals merge in spawn order after the join —
@@ -38,7 +38,6 @@
 
 use optassign_obs::{lane_span_id, Event, MetricsRegistry, Obs, SpanGuard, VALUE_BUCKETS};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Derives an independent, reproducible RNG seed for one task index.
 ///
@@ -65,12 +64,10 @@ pub const fn split_seed(seed: u64, index: u64) -> u64 {
 pub struct Parallelism {
     /// Number of worker threads to use (at least 1).
     pub workers: usize,
-    /// Preferred chunk size for batched evaluation paths
-    /// ([`parallel_map_batched`]): how many items one `evaluate_batch`
-    /// call covers. `0` disables batching (callers fall back to their
-    /// per-item path). Like `workers`, this is purely a throughput knob —
-    /// every batched path in the workspace is bit-identical at every
-    /// batch size, including 0.
+    /// Largest chunk [`try_parallel_map_batched`] hands its callee: how
+    /// many items one `evaluate_batch` call covers (at least 1). Like
+    /// `workers`, this is purely a throughput knob — every batched path
+    /// in the workspace is bit-identical at every batch size.
     pub batch: usize,
 }
 
@@ -78,10 +75,6 @@ impl Parallelism {
     /// Environment variable consulted by [`Parallelism::default`] and
     /// [`Parallelism::max_available`].
     pub const ENV_VAR: &'static str = "OPTASSIGN_WORKERS";
-
-    /// Environment variable overriding the batch size in the non-const
-    /// constructors (`0` disables batching).
-    pub const BATCH_ENV_VAR: &'static str = "OPTASSIGN_BATCH";
 
     /// Default batch size: large enough to amortize per-batch setup
     /// (shared decode tables, cache prefill images), small enough that
@@ -106,36 +99,18 @@ impl Parallelism {
         }
     }
 
-    /// Returns `self` with the given batch size (`0` disables batching).
+    /// Returns `self` with the given batch size (floored at 1).
     #[must_use]
     pub const fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch;
+        self.batch = if batch > 0 { batch } else { 1 };
         self
-    }
-
-    /// Batch size requested through `OPTASSIGN_BATCH`, if set to a
-    /// non-negative integer (`0` disables batching).
-    #[must_use]
-    pub fn batch_from_env() -> Option<usize> {
-        std::env::var(Self::BATCH_ENV_VAR)
-            .ok()
-            .and_then(|raw| raw.trim().parse().ok())
-    }
-
-    /// Applies the `OPTASSIGN_BATCH` override, when present.
-    #[must_use]
-    fn with_env_batch(self) -> Self {
-        match Self::batch_from_env() {
-            Some(batch) => self.with_batch(batch),
-            None => self,
-        }
     }
 
     /// All hardware threads the OS reports (at least 1).
     #[must_use]
     pub fn available() -> Self {
         let workers = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        Self::new(workers).with_env_batch()
+        Self::new(workers)
     }
 
     /// Worker count requested through `OPTASSIGN_WORKERS`, if the
@@ -144,7 +119,7 @@ impl Parallelism {
     pub fn from_env() -> Option<Self> {
         let raw = std::env::var(Self::ENV_VAR).ok()?;
         let workers: usize = raw.trim().parse().ok()?;
-        (workers > 0).then(|| Self::new(workers).with_env_batch())
+        (workers > 0).then(|| Self::new(workers))
     }
 
     /// Throughput-oriented default for experiment binaries:
@@ -225,13 +200,6 @@ impl<'a> WorkerStats<'a> {
         if self.obs.enabled() {
             self.local
                 .observe_with("exec_queue_depth", remaining as u64, &VALUE_BUCKETS);
-        }
-    }
-
-    /// Counts one failed task.
-    fn task_error(&mut self) {
-        if self.obs.enabled() {
-            self.local.counter_add("exec_task_errors_total", 1);
         }
     }
 }
@@ -319,11 +287,7 @@ where
 /// occupancy, and worker utilization land in `obs`. The results are
 /// bit-identical to the unobserved call — instrumentation only reads
 /// the clock and appends to worker-local registries.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map_obs<T, F>(par: Parallelism, n: usize, obs: &Obs, f: F) -> Vec<T>
+fn parallel_map_obs<T, F>(par: Parallelism, n: usize, obs: &Obs, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
@@ -379,240 +343,8 @@ where
     collected.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Fallible [`parallel_map`]: maps `f` over `0..n`, returning all
-/// results in index order, or the error produced at the **smallest
-/// failing index** — exactly what a sequential early-exit loop would
-/// return, for any worker count.
-///
-/// Once some index has failed, workers skip indices above it (those
-/// results could never be observed), but every index below the current
-/// minimum failure is still evaluated, so the reported error is
-/// deterministic.
-///
-/// # Errors
-///
-/// Returns the error of the smallest index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn try_parallel_map<T, E, F>(par: Parallelism, n: usize, f: F) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    try_parallel_map_obs(par, n, &Obs::disabled(), f)
-}
-
-/// [`try_parallel_map`] with observability: per-task latency, queue
-/// occupancy, worker utilization, and failed-task counts land in `obs`.
-/// Results — including which error is reported — are bit-identical to
-/// the unobserved call.
-///
-/// # Errors
-///
-/// Returns the error of the smallest index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn try_parallel_map_obs<T, E, F>(
-    par: Parallelism,
-    n: usize,
-    obs: &Obs,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let workers = par.workers.min(n.max(1));
-    let region = obs.span("exec_region_ns");
-    if workers <= 1 {
-        // Sequential early exit: first error wins, which is also the
-        // smallest-index error.
-        let mut stats = WorkerStats::new(obs);
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            match stats.time(|| f(i)) {
-                Ok(value) => out.push(value),
-                Err(e) => {
-                    stats.task_error();
-                    finish_region(obs, region, n, 1, std::slice::from_ref(&stats));
-                    return Err(e);
-                }
-            }
-        }
-        finish_region(obs, region, n, 1, std::slice::from_ref(&stats));
-        return Ok(out);
-    }
-
-    let next = AtomicUsize::new(0);
-    // Smallest failing index seen so far; usize::MAX means "none yet".
-    let first_failure = AtomicUsize::new(usize::MAX);
-    let chunk = chunk_size(n, workers);
-    let mut oks: Vec<(usize, T)> = Vec::with_capacity(n);
-    let mut locals: Vec<WorkerStats> = Vec::with_capacity(workers);
-    let errs: Mutex<Vec<(usize, E)>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            handles.push(scope.spawn(|| {
-                let mut stats = WorkerStats::new(obs);
-                let mut local: Vec<(usize, T)> = Vec::new();
-                loop {
-                    let start = next.fetch_add(chunk, Ordering::Relaxed);
-                    if start >= n {
-                        break;
-                    }
-                    stats.queue_depth(n - start);
-                    for i in start..(start + chunk).min(n) {
-                        // An index above the smallest known failure can
-                        // never be observed — skip it. Indices below it
-                        // must still run (one of them may fail at an
-                        // even smaller index).
-                        if i > first_failure.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        match stats.time(|| f(i)) {
-                            Ok(value) => local.push((i, value)),
-                            Err(e) => {
-                                stats.task_error();
-                                first_failure.fetch_min(i, Ordering::Relaxed);
-                                let mut guard = errs
-                                    .lock()
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                                guard.push((i, e));
-                            }
-                        }
-                    }
-                }
-                (local, stats)
-            }));
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok((local, stats)) => {
-                    oks.extend(local);
-                    locals.push(stats);
-                }
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    finish_region(obs, region, n, workers, &locals);
-
-    let mut errors = errs
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if let Some(min_idx) = errors.iter().map(|(i, _)| *i).min() {
-        // Order-fixed error reduction: the smallest failing index wins,
-        // matching the sequential path bit for bit.
-        if let Some(pos) = errors.iter().position(|(i, _)| *i == min_idx) {
-            return Err(errors.swap_remove(pos).1);
-        }
-    }
-
-    oks.sort_unstable_by_key(|(i, _)| *i);
-    debug_assert_eq!(oks.len(), n);
-    Ok(oks.into_iter().map(|(_, v)| v).collect())
-}
-
-/// Cache-aware [`parallel_map_obs`]: `resolved[i]` is `Some(v)` when
-/// slot `i` is already known (a durable-cache hit or a checkpoint
-/// replay), `None` when it must be computed. Only the misses run through
-/// the parallel engine — with zero misses no parallel region is entered
-/// and `f` is never called — and the output is in index order, exactly
-/// as if every slot had been computed fresh.
-///
-/// Hits and misses are counted (`exec_cache_hits_total` /
-/// `exec_cache_misses_total`). Because miss indices ascend and the
-/// reduction is order-fixed, results are bit-identical at every worker
-/// count.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn parallel_map_cached<T, F>(
-    par: Parallelism,
-    resolved: Vec<Option<T>>,
-    obs: &Obs,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let computed = parallel_map_obs(par, miss_idx.len(), obs, |j| f(miss_idx[j]));
-        for (j, value) in computed.into_iter().enumerate() {
-            slots[miss_idx[j]] = Some(value);
-        }
-    }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    out
-}
-
-/// Fallible [`parallel_map_cached`]: pre-resolved slots never fail, and
-/// the error reported for the misses is the one at the smallest failing
-/// *original* index (miss indices ascend, so the engine's
-/// smallest-failing-index contract carries over directly).
-///
-/// # Errors
-///
-/// Returns the error of the smallest original index at which `f` failed.
-///
-/// # Panics
-///
-/// Re-raises a panic from `f` on the calling thread.
-pub fn try_parallel_map_cached<T, E, F>(
-    par: Parallelism,
-    resolved: Vec<Option<T>>,
-    obs: &Obs,
-    f: F,
-) -> Result<Vec<T>, E>
-where
-    T: Send,
-    E: Send,
-    F: Fn(usize) -> Result<T, E> + Sync,
-{
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let computed = try_parallel_map_obs(par, miss_idx.len(), obs, |j| f(miss_idx[j]))?;
-        for (j, value) in computed.into_iter().enumerate() {
-            slots[miss_idx[j]] = Some(value);
-        }
-    }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    Ok(out)
-}
-
-/// Splits ascending miss indices into contiguous runs for the batched
-/// engines below: the fewest runs of at most `par.batch` (floored at 1)
+/// Splits ascending miss indices into contiguous runs for
+/// [`try_parallel_map_batched`]: the fewest runs of at most `par.batch` (floored at 1)
 /// items, rounded up to a multiple of `par.workers` (capped at one item
 /// per run), with lengths differing by at most one. Equal runs keep every
 /// worker busy to the end: 300 misses at batch 32 on 2 workers become
@@ -635,74 +367,30 @@ fn batch_chunks(par: Parallelism, miss_idx: &[usize]) -> Vec<Vec<usize>> {
     out
 }
 
-/// Batched [`parallel_map_cached`]: identical cache-key semantics
-/// (`resolved[i]` is `Some` for a hit, `None` for a miss; hits and
-/// misses feed the same `exec_cache_hits_total` /
-/// `exec_cache_misses_total` counters), but the misses are handed to `f`
-/// in ascending runs of at most `par.batch` indices so the callee can
-/// amortize per-call setup across the run.
+/// Maps `f` over the unresolved slots of `resolved`, in ascending runs
+/// of at most `par.batch` indices, and returns every slot's value in
+/// index order.
 ///
-/// `f` receives a slice of original indices and must return exactly one
-/// value per index, in order. Chunks are distributed over the workers by
-/// the same split-seed deterministic engine as [`parallel_map_obs`], so
-/// results are bit-identical at every worker count and every batch size
-/// — provided `f` itself is pure per index, which is the whole contract.
+/// `resolved[i]` is `Some(v)` when slot `i` is already known (a
+/// durable-cache hit or a journal replay) and `None` when it must be
+/// computed. Only the misses reach `f` — with zero misses no parallel
+/// region is entered and `f` is never called — and the output is
+/// exactly what computing every slot fresh would give. Hits and misses
+/// are counted (`exec_cache_hits_total` / `exec_cache_misses_total`),
+/// and so are the runs handed to `f` (`exec_batches_total`).
 ///
-/// # Panics
+/// `f` receives a run of original indices, so it can amortize per-call
+/// setup (shared decode tables, cache prefill images) across the run,
+/// and must return exactly one `Result` per index, in order. Runs are
+/// distributed over the workers by the deterministic engine behind
+/// [`parallel_map`], so results are bit-identical at every worker count
+/// and every batch size — provided `f` is pure per index, which is the
+/// whole contract. An infallible callee returns `Result<T, Infallible>`.
 ///
-/// Re-raises a panic from `f` on the calling thread, and panics if `f`
-/// returns a vector of the wrong length.
-pub fn parallel_map_batched<T, F>(
-    par: Parallelism,
-    resolved: Vec<Option<T>>,
-    obs: &Obs,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&[usize]) -> Vec<T> + Sync,
-{
-    let n = resolved.len();
-    let miss_idx: Vec<usize> = resolved
-        .iter()
-        .enumerate()
-        .filter(|(_, v)| v.is_none())
-        .map(|(i, _)| i)
-        .collect();
-    obs.counter_add("exec_cache_hits_total", (n - miss_idx.len()) as u64);
-    obs.counter_add("exec_cache_misses_total", miss_idx.len() as u64);
-    let mut slots = resolved;
-    if !miss_idx.is_empty() {
-        let chunks = batch_chunks(par, &miss_idx);
-        obs.counter_add("exec_batches_total", chunks.len() as u64);
-        let computed = parallel_map_obs(par, chunks.len(), obs, |c| {
-            let out = f(&chunks[c]);
-            assert_eq!(
-                out.len(),
-                chunks[c].len(),
-                "batch fn must return one value per index"
-            );
-            out
-        });
-        for (chunk, values) in chunks.iter().zip(computed) {
-            for (&i, value) in chunk.iter().zip(values) {
-                slots[i] = Some(value);
-            }
-        }
-    }
-    let out: Vec<T> = slots.into_iter().flatten().collect();
-    debug_assert_eq!(out.len(), n);
-    out
-}
-
-/// Fallible [`parallel_map_batched`]: `f` returns a per-index
-/// `Result`, and the call reports the error at the smallest failing
-/// *original* index — the same contract as [`try_parallel_map_cached`].
-///
-/// Unlike the per-item engine this cannot skip work past the first
-/// failure (a chunk is an indivisible unit for `f`), so on the failure
-/// path it may compute more than the scalar engine would — but the
-/// returned error, and the success-path output, are identical.
+/// The call reports the error at the smallest failing *original* index.
+/// A run is an indivisible unit for `f`, so on the failure path more
+/// slots may be computed than a sequential early-exit loop would — but
+/// the returned error, and the success-path output, are identical.
 ///
 /// # Errors
 ///
@@ -810,30 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn try_parallel_map_returns_smallest_failing_index() {
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 5 || i == 199 {
-                Err(format!("boom at {i}"))
-            } else {
-                Ok(i)
-            }
-        };
-        for workers in [1, 2, 4, 7] {
-            let err = try_parallel_map(Parallelism::new(workers), 256, f).expect_err("must fail");
-            assert_eq!(err, "boom at 5", "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn try_parallel_map_succeeds_in_index_order() {
-        let f = |i: usize| -> Result<usize, ()> { Ok(i * 3) };
-        let serial = try_parallel_map(Parallelism::serial(), 100, f);
-        for workers in [2, 4, 7] {
-            assert_eq!(try_parallel_map(Parallelism::new(workers), 100, f), serial);
-        }
-    }
-
-    #[test]
     fn observed_map_is_bit_identical_and_counts_every_task() {
         use optassign_obs::{FakeClock, NullRecorder};
         let f = |i: usize| (i as u64).wrapping_mul(0xABCD).rotate_left(11);
@@ -858,26 +522,6 @@ mod tests {
     }
 
     #[test]
-    fn observed_try_map_counts_errors_and_keeps_error_selection() {
-        use optassign_obs::{MonotonicClock, NullRecorder};
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 9 {
-                Err("boom at 9".into())
-            } else {
-                Ok(i)
-            }
-        };
-        for workers in [1, 4] {
-            let obs = Obs::new(Box::new(NullRecorder), Box::new(MonotonicClock::new()));
-            let err = try_parallel_map_obs(Parallelism::new(workers), 64, &obs, f)
-                .expect_err("must fail");
-            assert_eq!(err, "boom at 9", "workers={workers}");
-            let snap = obs.metrics();
-            assert!(snap.counter("exec_task_errors_total") >= 1);
-        }
-    }
-
-    #[test]
     fn disabled_obs_map_records_nothing() {
         let obs = Obs::disabled();
         let out = parallel_map_obs(Parallelism::new(4), 50, &obs, |i| i + 1);
@@ -886,95 +530,48 @@ mod tests {
     }
 
     #[test]
-    fn cached_map_matches_fresh_map_for_any_hit_pattern() {
-        let f = |i: usize| (i as u64).wrapping_mul(0x517C_C1B7).rotate_left(13);
-        let fresh: Vec<u64> = (0..100).map(f).collect();
-        for workers in [1, 4] {
-            for pattern in 0..4u64 {
-                // Pre-resolve a deterministic, pattern-dependent subset.
-                let resolved: Vec<Option<u64>> = (0..100)
-                    .map(|i| {
-                        split_seed(pattern, i as u64)
-                            .is_multiple_of(3)
-                            .then(|| f(i))
-                    })
-                    .collect();
-                let obs = Obs::metrics_only();
-                let out = parallel_map_cached(Parallelism::new(workers), resolved, &obs, f);
-                assert_eq!(out, fresh, "workers={workers} pattern={pattern}");
-                let snap = obs.metrics();
-                assert_eq!(
-                    snap.counter("exec_cache_hits_total") + snap.counter("exec_cache_misses_total"),
-                    100
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn fully_resolved_cached_map_never_calls_f() {
-        let resolved: Vec<Option<usize>> = (0..50).map(Some).collect();
-        let obs = Obs::metrics_only();
-        let out = parallel_map_cached(Parallelism::new(4), resolved, &obs, |_| {
-            panic!("no slot should be computed")
-        });
-        assert_eq!(out, (0..50).collect::<Vec<_>>());
-        let snap = obs.metrics();
-        assert_eq!(snap.counter("exec_cache_hits_total"), 50);
-        assert_eq!(snap.counter("exec_cache_misses_total"), 0);
-        assert_eq!(snap.counter("exec_regions_total"), 0);
-    }
-
-    #[test]
-    fn try_cached_map_reports_smallest_failing_original_index() {
-        let f = |i: usize| -> Result<usize, String> {
-            if i == 30 || i == 70 {
-                Err(format!("boom at {i}"))
-            } else {
-                Ok(i)
-            }
-        };
-        for workers in [1, 4] {
-            // Slot 30 pre-resolved: only 70 can fail now.
-            let resolved: Vec<Option<usize>> = (0..100).map(|i| (i == 30).then_some(i)).collect();
-            let err =
-                try_parallel_map_cached(Parallelism::new(workers), resolved, &Obs::disabled(), f)
-                    .expect_err("must fail");
-            assert_eq!(err, "boom at 70", "workers={workers}");
-            // Nothing pre-resolved: 30 wins.
-            let none: Vec<Option<usize>> = vec![None; 100];
-            let err = try_parallel_map_cached(Parallelism::new(workers), none, &Obs::disabled(), f)
-                .expect_err("must fail");
-            assert_eq!(err, "boom at 30", "workers={workers}");
-        }
-    }
-
-    #[test]
-    fn batched_map_matches_cached_at_every_batch_size_and_worker_count() {
+    fn batched_map_matches_serial_map_for_any_hit_pattern_batch_size_and_worker_count() {
         let f = |i: usize| (i as u64).wrapping_mul(0x517C_C1B7).rotate_left(11);
-        let fresh: Vec<u64> = (0..203).map(f).collect();
+        let fresh = parallel_map(Parallelism::serial(), 203, f);
+        // Deterministic pre-resolved subsets, so the hit/miss scatter
+        // path is exercised: every third slot under four seeds, and
+        // every fourth under a fifth.
+        let hit_patterns = [(0u64, 3u64), (1, 3), (2, 3), (3, 3), (7, 4)];
         for workers in [1, 2, 4, 7] {
             for batch in [1, 3, 16, 1000] {
-                // Pre-resolve a deterministic subset so the hit/miss
-                // scatter path is exercised too.
-                let resolved: Vec<Option<u64>> = (0..203)
-                    .map(|i| split_seed(7, i as u64).is_multiple_of(4).then(|| f(i)))
-                    .collect();
-                let obs = Obs::metrics_only();
-                let par = Parallelism::new(workers).with_batch(batch);
-                let out = parallel_map_batched(par, resolved, &obs, |idxs| {
-                    assert!(idxs.len() <= batch, "chunk larger than batch size");
-                    idxs.iter().map(|&i| f(i)).collect()
-                });
-                assert_eq!(out, fresh, "workers={workers} batch={batch}");
-                let snap = obs.metrics();
-                assert_eq!(
-                    snap.counter("exec_cache_hits_total") + snap.counter("exec_cache_misses_total"),
-                    203
-                );
-                let misses = snap.counter("exec_cache_misses_total") as usize;
-                let runs = misses.div_ceil(batch).div_ceil(workers) * workers;
-                assert_eq!(snap.counter("exec_batches_total"), runs.min(misses) as u64);
+                for (seed, every) in hit_patterns {
+                    let resolved: Vec<Option<u64>> = (0..203)
+                        .map(|i| {
+                            split_seed(seed, i as u64)
+                                .is_multiple_of(every)
+                                .then(|| f(i))
+                        })
+                        .collect();
+                    let obs = Obs::metrics_only();
+                    let par = Parallelism::new(workers).with_batch(batch);
+                    let out = try_parallel_map_batched(par, resolved, &obs, |idxs| {
+                        assert!(idxs.len() <= batch, "chunk larger than batch size");
+                        idxs.iter()
+                            .map(|&i| Ok::<_, std::convert::Infallible>(f(i)))
+                            .collect()
+                    });
+                    let at = format!("workers={workers} batch={batch} pattern=({seed}, {every})");
+                    assert_eq!(out, Ok(fresh.clone()), "{at}");
+                    let snap = obs.metrics();
+                    assert_eq!(
+                        snap.counter("exec_cache_hits_total")
+                            + snap.counter("exec_cache_misses_total"),
+                        203,
+                        "{at}"
+                    );
+                    let misses = snap.counter("exec_cache_misses_total") as usize;
+                    let runs = misses.div_ceil(batch).div_ceil(workers) * workers;
+                    assert_eq!(
+                        snap.counter("exec_batches_total"),
+                        runs.min(misses) as u64,
+                        "{at}"
+                    );
+                }
             }
         }
     }
@@ -1014,13 +611,15 @@ mod tests {
     fn fully_resolved_batched_map_never_calls_f() {
         let resolved: Vec<Option<usize>> = (0..50).map(Some).collect();
         let obs = Obs::metrics_only();
-        let out = parallel_map_batched(Parallelism::new(4), resolved, &obs, |_| {
+        let out = try_parallel_map_batched(Parallelism::new(4), resolved, &obs, |_| {
             panic!("no chunk should be computed")
         });
-        assert_eq!(out, (0..50).collect::<Vec<_>>());
+        assert_eq!(out, Ok::<_, ()>((0..50).collect::<Vec<_>>()));
         let snap = obs.metrics();
         assert_eq!(snap.counter("exec_cache_hits_total"), 50);
+        assert_eq!(snap.counter("exec_cache_misses_total"), 0);
         assert_eq!(snap.counter("exec_batches_total"), 0);
+        assert_eq!(snap.counter("exec_regions_total"), 0);
     }
 
     #[test]
@@ -1034,7 +633,7 @@ mod tests {
         };
         let chunked =
             |idxs: &[usize]| -> Vec<Result<usize, String>> { idxs.iter().map(|&i| f(i)).collect() };
-        for workers in [1, 4] {
+        for workers in [1, 2, 4, 7] {
             for batch in [1, 3, 16, 1000] {
                 let par = Parallelism::new(workers).with_batch(batch);
                 // Slot 30 pre-resolved: only 70 can fail now.
@@ -1048,7 +647,7 @@ mod tests {
                 let err = try_parallel_map_batched(par, none, &Obs::disabled(), chunked)
                     .expect_err("must fail");
                 assert_eq!(err, "boom at 30", "workers={workers} batch={batch}");
-                // Success path matches the per-item engine.
+                // Success path: every value, in index order.
                 let clean: Vec<Option<usize>> = vec![None; 100];
                 let ok = try_parallel_map_batched(par, clean, &Obs::disabled(), |idxs| {
                     idxs.iter().map(|&i| Ok::<_, String>(i * 3)).collect()
@@ -1060,11 +659,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_knob_constructors_and_env() {
+    fn batch_knob_constructors() {
         assert_eq!(Parallelism::serial().batch, Parallelism::DEFAULT_BATCH);
         assert_eq!(Parallelism::new(3).batch, Parallelism::DEFAULT_BATCH);
-        assert_eq!(Parallelism::new(3).with_batch(0).batch, 0);
         assert_eq!(Parallelism::new(3).with_batch(7).batch, 7);
+    }
+
+    #[test]
+    fn with_batch_floors_at_one_like_new_floors_workers() {
+        assert_eq!(Parallelism::new(3).with_batch(0).batch, 1);
+        assert_eq!(Parallelism::new(3).with_batch(1).batch, 1);
     }
 
     #[test]

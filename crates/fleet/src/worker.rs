@@ -15,10 +15,10 @@
 //!   and counters (`GET /v1/stats`) — everything a peer or coordinator
 //!   reads, nothing that feeds back into measurement.
 //!
-//! Leased slots journal through [`measure_leased_slots`], so a worker's
-//! shard carries records byte-identical to the slice of a single-node
-//! journal it was leased — the property the coordinator's merge turns
-//! into a bit-identical resume point.
+//! Leased slots journal through [`measure_leased_slots_traced`], so a
+//! worker's shard carries records byte-identical to the slice of a
+//! single-node journal it was leased — the property the coordinator's
+//! merge turns into a bit-identical resume point.
 
 use optassign::iterative::{measure_leased_slots_traced, PeerCache};
 use optassign::persist::{iterative_campaign_id, CampaignStore};

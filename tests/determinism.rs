@@ -4,7 +4,7 @@
 
 use optassign::fault::{FaultPlan, FaultyModel};
 use optassign::iterative::{run_iterative, IterativeConfig};
-use optassign::model::{SimModel, SyntheticModel};
+use optassign::model::{PerformanceModel, SimModel, SyntheticModel};
 use optassign::study::SampleStudy;
 use optassign::{Parallelism, Topology};
 use optassign_evt::bootstrap::bootstrap_max_with;
@@ -153,9 +153,16 @@ fn plain_study_is_bit_identical_across_batch_sizes() {
     let machine = MachineConfig::ultrasparc_t2();
     let workload = Benchmark::IpFwdL1.build_workload(2, 9);
     let model = SimModel::new(machine, workload).with_windows(2_000, 8_000);
-    // Batch 0 disables batching entirely: the legacy scalar fan-out.
+    // Reference: one slot per batch on one worker, itself checked
+    // against the scalar simulator evaluating each assignment alone.
     let scalar =
-        SampleStudy::run_with(&model, 60, 31, Parallelism::serial().with_batch(0)).unwrap();
+        SampleStudy::run_with(&model, 60, 31, Parallelism::serial().with_batch(1)).unwrap();
+    let per_item: Vec<f64> = scalar
+        .assignments()
+        .iter()
+        .map(|a| model.evaluate(a))
+        .collect();
+    assert_eq!(scalar.performances(), &per_item[..]);
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = Parallelism::new(workers).with_batch(batch);
@@ -177,7 +184,7 @@ fn resilient_study_is_bit_identical_across_batch_sizes() {
         FaultyModel::new(model, FaultPlan::harsh(41))
     };
     let (s_study, s_log) =
-        SampleStudy::run_resilient_with(&build(), 120, 13, 3, Parallelism::serial().with_batch(0))
+        SampleStudy::run_resilient_with(&build(), 120, 13, 3, Parallelism::serial().with_batch(1))
             .unwrap();
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
@@ -210,7 +217,7 @@ fn iterative_algorithm_is_bit_identical_across_batch_sizes() {
         };
         run_iterative(&model, &cfg, 21).unwrap()
     };
-    let scalar = run(Parallelism::serial().with_batch(0));
+    let scalar = run(Parallelism::serial().with_batch(1));
     for workers in [1usize, 4] {
         for batch in BATCH_SIZES {
             let par = run(Parallelism::new(workers).with_batch(batch));

@@ -76,10 +76,10 @@ fn batched_resilient_run_is_bit_identical_with_recording_on_and_off() {
     // The batch-size sweep of the recorder-parity contract: with batching
     // enabled (any chunk size, any worker count), attaching a recorder
     // still changes nothing, and every combination reproduces the
-    // batch-0 scalar baseline bit for bit.
+    // serial one-slot-per-batch baseline bit for bit.
     let faulty = FaultyModel::new(model(), FaultPlan::light(41));
     let (base, base_log) =
-        SampleStudy::run_resilient_with(&faulty, 200, 41, 3, Parallelism::serial().with_batch(0))
+        SampleStudy::run_resilient_with(&faulty, 200, 41, 3, Parallelism::serial().with_batch(1))
             .unwrap();
 
     for workers in [1, 4] {
@@ -124,7 +124,7 @@ fn wal_bytes_are_identical_across_batch_sizes_and_worker_counts() {
 
     let mut reference: Option<(Vec<u8>, Vec<f64>)> = None;
     for workers in [1usize, 4] {
-        for batch in [0usize, 1, 3, 16, 1000] {
+        for batch in [1usize, 3, 16, 1000] {
             let dir = scratch(&format!("w{workers}b{batch}"));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
